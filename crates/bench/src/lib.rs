@@ -77,12 +77,17 @@ impl WorkloadKind {
 }
 
 /// Parses `--scale {test|quick|full}` from the process arguments
-/// (defaulting to `test` so every binary finishes in seconds).
+/// (defaulting to `test` so every binary finishes in seconds). An unknown
+/// value exits with status 2 and lists the valid ones.
 pub fn scale_from_args() -> Scale {
     let args: Vec<String> = std::env::args().collect();
-    arg_value(&args, "--scale")
-        .map(|v| parse_scale(&v))
-        .unwrap_or(Scale::Test)
+    let Some(v) = arg_value(&args, "--scale") else {
+        return Scale::Test;
+    };
+    parse_scale(&v).unwrap_or_else(|| {
+        eprintln!("unknown --scale value {v:?}; valid values: test, quick, full");
+        std::process::exit(2);
+    })
 }
 
 /// Looks up a `--flag value` or `--flag=value` argument, shared by the
@@ -99,11 +104,12 @@ pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
     None
 }
 
-fn parse_scale(v: &str) -> Scale {
+fn parse_scale(v: &str) -> Option<Scale> {
     match v {
-        "quick" => Scale::Quick,
-        "full" => Scale::Full,
-        _ => Scale::Test,
+        "test" => Some(Scale::Test),
+        "quick" => Some(Scale::Quick),
+        "full" => Some(Scale::Full),
+        _ => None,
     }
 }
 
@@ -404,9 +410,10 @@ mod tests {
 
     #[test]
     fn scale_parsing() {
-        assert_eq!(parse_scale("quick"), Scale::Quick);
-        assert_eq!(parse_scale("full"), Scale::Full);
-        assert_eq!(parse_scale("anything-else"), Scale::Test);
+        assert_eq!(parse_scale("test"), Some(Scale::Test));
+        assert_eq!(parse_scale("quick"), Some(Scale::Quick));
+        assert_eq!(parse_scale("full"), Some(Scale::Full));
+        assert_eq!(parse_scale("quik"), None);
     }
 
     #[test]

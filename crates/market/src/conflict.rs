@@ -15,24 +15,25 @@
 //!   of `Q(D)` / `Q(D')` fails; when both sides fail, the buyer learns
 //!   nothing that distinguishes them, so the delta is not a conflict.
 //! * [`DeltaConflictEngine`] exploits the fact that every support database
-//!   differs from `D` in a *single tuple*. For the single-table query shapes
-//!   that dominate the paper's workloads (selection/projection chains, with
-//!   or without `DISTINCT`, and grouping/aggregation on top of such chains)
-//!   it decides membership by evaluating the chain on just the old and new
-//!   versions of the perturbed tuple, falling back to the naive engine for
-//!   joins, `LIMIT`, and other shapes. The two engines are proven equivalent
-//!   by the property tests in `tests/proptest_conflict.rs`.
+//!   differs from `D` in a *single tuple*. It compiles the query once per
+//!   table it reads into a [`DeltaPlan`] (`qp-qdb`): a select-project-join
+//!   tree that scans the table once is linear in it under bag semantics, so
+//!   the answer changes exactly when the old and the new tuple contribute
+//!   different rows. A `DISTINCT` or an aggregate may sit at the root; joins
+//!   are probed through hash indexes built once per plan. `LIMIT`,
+//!   self-joins, `DISTINCT` or aggregates below a join, and other shapes
+//!   fall back to the naive engine. The two engines are checked against
+//!   each other by `tests/proptest_conflict.rs` and, on the paper's
+//!   workloads, by `tests/workload_oracle.rs`.
 //! * [`ParallelConflictEngine`] fans a query batch across scoped worker
 //!   threads, each running its own [`DeltaConflictEngine`]; workers claim
 //!   queries from a shared `parking_lot`-guarded ledger so expensive queries
 //!   do not serialize behind a static partition. Single-query calls and the
 //!   degenerate one-thread case take the serial path unchanged.
 
-use std::collections::HashMap;
-
 use qp_core::{ItemSet, QuoteScratch};
 use qp_pricing::Hypergraph;
-use qp_qdb::{Database, DeltaInstance, QdbError, Query, Relation, Schema, Tuple, Value};
+use qp_qdb::{Database, DeltaInstance, DeltaPlan, QdbError, Query, Relation, Tuple};
 
 use crate::parallel::claim_map_into;
 use crate::support::SupportSet;
@@ -149,61 +150,8 @@ fn answers_differ(base: &Result<Relation, QdbError>, overlay: &Result<Relation, 
 // Delta-aware engine
 // ---------------------------------------------------------------------------
 
-/// Structural classification of a query for the incremental fast paths.
-enum Shape {
-    /// `[Filter|Project]*` over a single `Scan`, no aggregate/distinct/limit:
-    /// membership depends only on the per-row contribution of the perturbed
-    /// tuple.
-    Chain { table: String },
-    /// `Distinct` on top of such a chain: additionally needs the multiplicity
-    /// of each output row over the base database.
-    DistinctChain { table: String, inner: Query },
-    /// `Aggregate` (group-by + aggregates) on top of such a chain.
-    AggregateChain {
-        table: String,
-        /// The chain below the aggregate (produces the aggregation input).
-        input: Query,
-        /// Names of the grouping columns in the chain output.
-        group_by: Vec<String>,
-    },
-    /// Anything else (joins, LIMIT, nested aggregates, …).
-    Other,
-}
-
-fn classify(q: &Query) -> Shape {
-    fn chain_table(q: &Query) -> Option<String> {
-        match q {
-            Query::Scan { table } => Some(table.clone()),
-            Query::Filter { input, .. } | Query::Project { input, .. } => chain_table(input),
-            _ => None,
-        }
-    }
-    match q {
-        Query::Distinct { input } => match chain_table(input) {
-            Some(table) => Shape::DistinctChain {
-                table,
-                inner: (**input).clone(),
-            },
-            None => Shape::Other,
-        },
-        Query::Aggregate {
-            input, group_by, ..
-        } => match chain_table(input) {
-            Some(table) => Shape::AggregateChain {
-                table,
-                input: (**input).clone(),
-                group_by: group_by.clone(),
-            },
-            None => Shape::Other,
-        },
-        other => match chain_table(other) {
-            Some(table) => Shape::Chain { table },
-            None => Shape::Other,
-        },
-    }
-}
-
-/// The delta-aware engine.
+/// The delta-aware engine: one [`DeltaPlan`] per table the query reads,
+/// compiled once per query and applied to every support delta on that table.
 pub struct DeltaConflictEngine<'a> {
     db: &'a Database,
     support: &'a SupportSet,
@@ -219,26 +167,6 @@ impl<'a> DeltaConflictEngine<'a> {
             naive: NaiveConflictEngine::new(db, support),
         }
     }
-
-    /// Builds a one-row database holding `row` as the only tuple of `table`
-    /// (all other tables are dropped — valid because the chain reads only
-    /// `table`).
-    fn single_row_db(&self, table: &str, schema: &Schema, row: Tuple) -> Database {
-        let mut rel = Relation::new(schema.clone());
-        rel.push(row)
-            .expect("schema arity mismatch in single_row_db");
-        let mut db = Database::new();
-        db.add_table(table, rel);
-        db
-    }
-
-    /// The contribution of a single base-table row to a chain's output.
-    fn contribution(&self, chain: &Query, table: &str, schema: &Schema, row: Tuple) -> Relation {
-        let tiny = self.single_row_db(table, schema, row);
-        chain
-            .evaluate(&tiny)
-            .expect("chain evaluation on a single-row database cannot fail")
-    }
 }
 
 impl ConflictEngine for DeltaConflictEngine<'_> {
@@ -250,235 +178,37 @@ impl ConflictEngine for DeltaConflictEngine<'_> {
 
     fn conflict_set_into(&self, query: &Query, out: &mut ItemSet) {
         out.clear();
-        match classify(query) {
-            Shape::Chain { table } => self.chain_conflicts(query, &table, out),
-            Shape::DistinctChain { table, inner } => {
-                self.distinct_conflicts(query, &inner, &table, out)
+        let mut plans = Vec::new();
+        for table in query.tables_referenced() {
+            match DeltaPlan::compile(query, self.db, &table) {
+                Ok(Some(plan)) => plans.push(plan),
+                Ok(None) => return self.naive.conflict_set_into(query, out),
+                // Evaluation errors are schema-driven and overlays share
+                // the base schema: when the base evaluation fails too,
+                // every support database fails the same way, and under the
+                // symmetric rule of `answers_differ` nothing is in conflict.
+                Err(_) if query.evaluate(self.db).is_err() => return,
+                Err(_) => return self.naive.conflict_set_into(query, out),
             }
-            Shape::AggregateChain {
-                table,
-                input,
-                group_by,
-            } => self.aggregate_conflicts(query, &input, &group_by, &table, out),
-            Shape::Other => self.naive.conflict_set_into(query, out),
+        }
+        let mut new = Tuple::new();
+        for (i, delta) in self.support.deltas().iter().enumerate() {
+            let Some(plan) = plans.iter().find(|p| p.table() == delta.table) else {
+                continue; // the perturbation cannot influence the answer
+            };
+            let Ok(old) = delta.old_tuple(self.db) else {
+                continue;
+            };
+            new.clone_from(old);
+            delta.patch(&mut new);
+            if plan.changes(delta.row, old, &new) {
+                out.insert(i);
+            }
         }
     }
 
     fn support_size(&self) -> usize {
         self.support.len()
-    }
-}
-
-impl DeltaConflictEngine<'_> {
-    /// Fast path for plain filter/project chains: the answer changes iff the
-    /// perturbed tuple's contribution changes. Fills `out` (already cleared
-    /// by [`ConflictEngine::conflict_set_into`]).
-    fn chain_conflicts(&self, chain: &Query, table: &str, out: &mut ItemSet) {
-        let Ok(schema) = self.db.table(table).map(|r| r.schema().clone()) else {
-            return;
-        };
-        // Evaluation errors are schema-driven, and overlays share the base
-        // schema: a chain that fails on the base database fails identically
-        // on every support database, so (per the symmetric error rule of
-        // `answers_differ`) nothing is in conflict. Probe with an *empty*
-        // relation carrying the real schema — binding runs before any row is
-        // touched, so this surfaces the same errors in O(1) without scanning
-        // the base table.
-        let schema_probe = {
-            let mut empty = Database::new();
-            empty.add_table(table, Relation::new(schema.clone()));
-            empty
-        };
-        if chain.evaluate(&schema_probe).is_err() {
-            return;
-        }
-        for (i, delta) in self.support.deltas().iter().enumerate() {
-            if delta.table != table {
-                continue;
-            }
-            let (Ok(old), Ok(new)) = (delta.old_tuple(self.db), delta.new_tuple(self.db)) else {
-                continue;
-            };
-            let c_old = self.contribution(chain, table, &schema, old.clone());
-            let c_new = self.contribution(chain, table, &schema, new);
-            if !c_old.same_answer(&c_new) {
-                out.insert(i);
-            }
-        }
-    }
-
-    /// Fast path for `DISTINCT` over a chain: the distinct set changes iff
-    /// removing the old contribution or adding the new one changes membership.
-    /// Fills `out` (already cleared by [`ConflictEngine::conflict_set_into`]).
-    fn distinct_conflicts(&self, _query: &Query, inner: &Query, table: &str, out: &mut ItemSet) {
-        let Ok(schema) = self.db.table(table).map(|r| r.schema().clone()) else {
-            return;
-        };
-        // Multiplicity of every output row of the chain over the base data.
-        let Ok(full) = inner.evaluate(self.db) else {
-            return;
-        };
-        let mut counts: HashMap<Tuple, usize> = HashMap::with_capacity(full.len());
-        for r in full.rows() {
-            *counts.entry(r.clone()).or_insert(0) += 1;
-        }
-
-        for (i, delta) in self.support.deltas().iter().enumerate() {
-            if delta.table != table {
-                continue;
-            }
-            let (Ok(old), Ok(new)) = (delta.old_tuple(self.db), delta.new_tuple(self.db)) else {
-                continue;
-            };
-            let c_old = self.contribution(inner, table, &schema, old.clone());
-            let c_new = self.contribution(inner, table, &schema, new);
-            if c_old.same_answer(&c_new) {
-                continue;
-            }
-            let removed_changes = c_old
-                .rows()
-                .iter()
-                .any(|r| counts.get(r).copied().unwrap_or(0) == 1 && !c_new.rows().contains(r));
-            let added_changes = c_new
-                .rows()
-                .iter()
-                .any(|r| counts.get(r).copied().unwrap_or(0) == 0);
-            if removed_changes || added_changes {
-                out.insert(i);
-            }
-        }
-    }
-
-    /// Fast path for aggregation over a chain: only the groups touched by the
-    /// perturbed tuple can change; recompute exactly those groups. Fills
-    /// `out` (already cleared by [`ConflictEngine::conflict_set_into`]).
-    fn aggregate_conflicts(
-        &self,
-        query: &Query,
-        input: &Query,
-        group_by: &[String],
-        table: &str,
-        out: &mut ItemSet,
-    ) {
-        let Ok(schema) = self.db.table(table).map(|r| r.schema().clone()) else {
-            return;
-        };
-        let Ok(agg_input) = input.evaluate(self.db) else {
-            return;
-        };
-        let Ok(base_output) = query.evaluate(self.db) else {
-            return;
-        };
-        let input_schema = agg_input.schema().clone();
-        let key_idx: Vec<usize> = match group_by
-            .iter()
-            .map(|c| input_schema.index_of(c))
-            .collect::<Result<Vec<_>, _>>()
-        {
-            Ok(v) => v,
-            Err(_) => return self.naive.conflict_set_into(query, out),
-        };
-        let group_key =
-            |row: &Tuple| -> Vec<Value> { key_idx.iter().map(|&i| row[i].clone()).collect() };
-
-        // Aggregation-input rows grouped by key.
-        let mut groups: HashMap<Vec<Value>, Vec<Tuple>> = HashMap::new();
-        for r in agg_input.rows() {
-            groups.entry(group_key(r)).or_default().push(r.clone());
-        }
-        // Base output rows indexed by key (key columns are the first
-        // `group_by.len()` output columns, see the evaluator).
-        let k = group_by.len();
-        let mut base_by_key: HashMap<Vec<Value>, Tuple> = HashMap::new();
-        for r in base_output.rows() {
-            base_by_key.insert(r[..k].to_vec(), r.clone());
-        }
-
-        // Rebuilds the aggregate output restricted to the rows of `rows`, by
-        // evaluating the same Aggregate node over a temporary table that holds
-        // exactly those aggregation-input rows.
-        let recompute = |rows: Vec<Tuple>| -> Relation {
-            let mut rel = Relation::new(input_schema.clone());
-            for r in rows {
-                rel.push(r).expect("aggregation input arity mismatch");
-            }
-            let mut tmp = Database::new();
-            tmp.add_table("__agg_input", rel);
-            let Query::Aggregate { group_by, aggs, .. } = query else {
-                unreachable!("aggregate_conflicts is only called on Aggregate plans")
-            };
-            Query::Aggregate {
-                input: Box::new(Query::scan("__agg_input")),
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
-            }
-            .evaluate(&tmp)
-            .expect("recomputing an aggregate over a temporary table cannot fail")
-        };
-
-        for (i, delta) in self.support.deltas().iter().enumerate() {
-            if delta.table != table {
-                continue;
-            }
-            let (Ok(old), Ok(new)) = (delta.old_tuple(self.db), delta.new_tuple(self.db)) else {
-                continue;
-            };
-            let c_old = self.contribution(input, table, &schema, old.clone());
-            let c_new = self.contribution(input, table, &schema, new);
-            if c_old.same_answer(&c_new) {
-                continue;
-            }
-
-            // Affected group keys. A global aggregate (no group-by) has the
-            // single key [].
-            let mut keys: Vec<Vec<Value>> = Vec::new();
-            if group_by.is_empty() {
-                keys.push(Vec::new());
-            } else {
-                for r in c_old.rows().iter().chain(c_new.rows()) {
-                    let key = group_key(r);
-                    if !keys.contains(&key) {
-                        keys.push(key);
-                    }
-                }
-            }
-
-            let mut changed = false;
-            for key in &keys {
-                // The group's rows with the old contribution swapped for the new.
-                let mut rows: Vec<Tuple> = groups.get(key).cloned().unwrap_or_default();
-                for o in c_old.rows() {
-                    if group_by.is_empty() || &group_key(o) == key {
-                        if let Some(pos) = rows.iter().position(|r| r == o) {
-                            rows.remove(pos);
-                        }
-                    }
-                }
-                for nrow in c_new.rows() {
-                    if group_by.is_empty() || &group_key(nrow) == key {
-                        rows.push(nrow.clone());
-                    }
-                }
-                let recomputed = recompute(rows);
-                let base_row = base_by_key.get(key);
-                match (recomputed.rows().first(), base_row) {
-                    (Some(a), Some(b)) => {
-                        if a != b {
-                            changed = true;
-                        }
-                    }
-                    (None, None) => {}
-                    // A group appeared or disappeared.
-                    _ => changed = true,
-                }
-                if changed {
-                    break;
-                }
-            }
-            if changed {
-                out.insert(i);
-            }
-        }
     }
 }
 
@@ -492,7 +222,8 @@ impl DeltaConflictEngine<'_> {
 ///
 /// Work distribution is dynamic: workers claim the next unprocessed query
 /// from a shared ledger guarded by a `parking_lot` mutex, so a few expensive
-/// queries (e.g. naive-fallback joins) do not leave the other threads idle.
+/// queries (e.g. naive-fallback `LIMIT` queries) do not leave the other
+/// threads idle.
 /// Results land in the ledger at the query's index, preserving order.
 ///
 /// Batches whose total work (queries × support size) is below a small
@@ -519,10 +250,8 @@ impl<'a> ParallelConflictEngine<'a> {
     ///
     /// The requested count is clamped to the available hardware parallelism:
     /// asking for more workers than the machine can run concurrently only
-    /// adds spawn and ledger overhead (`BENCH_conflict.json` puts the forced
-    /// 4-thread path at ≤1.06× serial — often *below* 1× — on a 1-core
-    /// container), so the effective count on such a machine is 1 and batches
-    /// take the serial path. Use
+    /// adds spawn and ledger overhead, so on a one-core machine the
+    /// effective count is 1 and batches take the serial path. Use
     /// [`ParallelConflictEngine::with_threads_forced`] to bypass the clamp
     /// for overhead measurements.
     pub fn with_threads(db: &'a Database, support: &'a SupportSet, threads: usize) -> Self {
@@ -631,7 +360,7 @@ impl ConflictEngine for ParallelConflictEngine<'_> {
 mod tests {
     use super::*;
     use crate::support::SupportConfig;
-    use qp_qdb::{AggFunc, ColumnType, Expr};
+    use qp_qdb::{AggFunc, ColumnType, Expr, Schema, Value};
 
     fn world_like_db() -> Database {
         let mut rel = Relation::new(Schema::new(vec![
@@ -696,7 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn join_queries_fall_back_to_naive() {
+    fn join_queries_match_the_naive_engine() {
         let mut db = world_like_db();
         let mut city = Relation::new(Schema::new(vec![
             ("cname", ColumnType::Str),

@@ -1,17 +1,18 @@
 //! Property-based equivalence of the two conflict engines, plus structural
 //! invariants of conflict sets.
 //!
-//! The delta-aware engine takes incremental shortcuts for single-table query
-//! shapes; these tests pit it against the naive engine (full re-evaluation)
-//! on randomized databases, support sets, and a pool of query shapes covering
-//! every fast path and the fallback.
+//! The delta-aware engine decides each support database from a compiled
+//! delta plan instead of re-evaluating the query; these tests pit it against
+//! the naive engine (full re-evaluation) on randomized databases, support
+//! sets, and pools of query shapes: single-table chains, and joins covering
+//! every spine operator, every root operator and the fallbacks.
 
 use proptest::prelude::*;
 use qp_market::{
     ConflictEngine, DeltaConflictEngine, NaiveConflictEngine, ParallelConflictEngine,
     SupportConfig, SupportSet,
 };
-use qp_qdb::{AggFunc, ColumnType, Database, Expr, Query, Relation, Schema, Value};
+use qp_qdb::{AggFunc, ColumnType, Database, DeltaPlan, Expr, Query, Relation, Schema, Value};
 
 #[derive(Debug, Clone)]
 struct RandomDb {
@@ -89,7 +90,8 @@ fn query_pool() -> Vec<Query> {
                 vec!["region"],
                 vec![(AggFunc::CountDistinct, Some("category"), "d")],
             ),
-        // Join shape exercises the naive fallback inside the delta engine.
+        // A self-join and a LIMIT exercise the naive fallback inside the
+        // delta engine.
         Query::scan("Sales")
             .join(Query::scan("Sales"), vec![("category", "category")])
             .aggregate(vec![], vec![(AggFunc::Count, None, "c")]),
@@ -157,5 +159,161 @@ proptest! {
         let parallel = ParallelConflictEngine::with_threads_forced(&db, &support, threads);
         let qs = query_pool();
         prop_assert_eq!(parallel.conflict_sets(&qs), serial.conflict_sets(&qs));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Joins
+// ---------------------------------------------------------------------------
+
+/// `Sales` plus a `Targets` table joined to it on `region` (one-to-many,
+/// with NULL keys) and on `amount = level` (Int against Float keys).
+#[derive(Debug, Clone)]
+struct JoinDb {
+    sales: RandomDb,
+    /// `(region code, level code, bonus tenths)`; region code 4 and level
+    /// code 0 stand for NULL.
+    targets: Vec<(u8, i8, u8)>,
+}
+
+fn join_db_strategy() -> impl Strategy<Value = JoinDb> {
+    (
+        db_strategy(),
+        proptest::collection::vec((0u8..5, -12i8..12, 0u8..40), 3..16),
+    )
+        .prop_map(|(sales, targets)| JoinDb { sales, targets })
+}
+
+fn build_join(jdb: &JoinDb) -> Database {
+    let mut db = build(&jdb.sales);
+    let mut targets = Relation::new(Schema::new(vec![
+        ("region", ColumnType::Str),
+        ("level", ColumnType::Float),
+        ("bonus", ColumnType::Float),
+    ]));
+    for &(r, l, b) in &jdb.targets {
+        let region = if r == 4 {
+            Value::Null
+        } else {
+            format!("region{r}").into()
+        };
+        // Even codes are integral levels that can equal an Int amount; odd
+        // codes are halves that never do.
+        let level = if l == 0 {
+            Value::Null
+        } else {
+            Value::Float(f64::from(l) / 2.0)
+        };
+        // Tenths are inexact in binary, so float sums depend on fold order.
+        let bonus = Value::Float(f64::from(b) * 0.1);
+        targets.push(vec![region, level, bonus]).unwrap();
+    }
+    db.add_table("Targets", targets);
+    db
+}
+
+fn sales_targets() -> Query {
+    Query::scan("Sales").join(Query::scan("Targets"), vec![("region", "region")])
+}
+
+/// Join shapes with a delta plan, then (from [`FIRST_FALLBACK`]) shapes the
+/// engine must hand to the naive engine.
+fn join_pool() -> Vec<Query> {
+    vec![
+        // Filters below and above the join, spine on the left.
+        Query::scan("Sales")
+            .filter(Expr::col("amount").ge(Expr::lit(0)))
+            .join(Query::scan("Targets"), vec![("region", "region")])
+            .filter(Expr::col("bonus").gt(Expr::lit(1.5))),
+        // Projection above a one-to-many join.
+        sales_targets().project_cols(&["category", "bonus"]),
+        // Spine on the right, with a filter on the materialized side.
+        Query::scan("Targets")
+            .filter(Expr::col("bonus").lt(Expr::lit(3.0)))
+            .join(Query::scan("Sales"), vec![("region", "region")])
+            .project_cols(&["amount", "level"]),
+        // Int amounts against Float levels, and a two-column key.
+        Query::scan("Sales").join(Query::scan("Targets"), vec![("amount", "level")]),
+        Query::scan("Sales").join(
+            Query::scan("Targets"),
+            vec![("region", "region"), ("amount", "level")],
+        ),
+        // DISTINCT over a join whose contributions repeat rows.
+        sales_targets().project_cols(&["category"]).distinct(),
+        sales_targets()
+            .project(vec![(Expr::col("bonus").gt(Expr::lit(2.0)), "big")])
+            .distinct(),
+        // Global and grouped aggregates over a join.
+        sales_targets().aggregate(
+            vec![],
+            vec![
+                (AggFunc::Sum, Some("bonus"), "s"),
+                (AggFunc::Avg, Some("amount"), "a"),
+                (AggFunc::Min, Some("bonus"), "mn"),
+                (AggFunc::Max, Some("amount"), "mx"),
+                (AggFunc::Count, None, "c"),
+            ],
+        ),
+        sales_targets().aggregate(
+            vec!["category"],
+            vec![
+                (AggFunc::Sum, Some("bonus"), "s"),
+                (AggFunc::Avg, Some("bonus"), "a"),
+                (AggFunc::Min, Some("level"), "mn"),
+                (AggFunc::Max, Some("bonus"), "mx"),
+            ],
+        ),
+        Query::scan("Targets")
+            .join(Query::scan("Sales"), vec![("level", "amount")])
+            .project(vec![
+                (Expr::col("r.region"), "sales_region"),
+                (Expr::col("bonus").mul(Expr::col("amount")), "x"),
+            ])
+            .aggregate(vec!["sales_region"], vec![(AggFunc::Sum, Some("x"), "s")]),
+        // Fallbacks: a self-join and a LIMIT.
+        Query::scan("Targets")
+            .join(Query::scan("Targets"), vec![("region", "region")])
+            .aggregate(vec![], vec![(AggFunc::Sum, Some("bonus"), "s")]),
+        sales_targets().limit(4),
+    ]
+}
+
+/// Index in [`join_pool`] of the first shape without a delta plan.
+const FIRST_FALLBACK: usize = 10;
+
+#[test]
+fn join_pool_plans_and_fallbacks_are_as_labelled() {
+    let db = build_join(&JoinDb {
+        sales: RandomDb {
+            rows: vec![(0, 1, 0), (1, -2, 1)],
+            seed: 0,
+            support: 1,
+        },
+        targets: vec![(0, 2, 3), (4, 0, 1)],
+    });
+    for (i, q) in join_pool().iter().enumerate() {
+        let has_plan = q
+            .tables_referenced()
+            .iter()
+            .all(|t| matches!(DeltaPlan::compile(q, &db, t), Ok(Some(_))));
+        assert_eq!(has_plan, i < FIRST_FALLBACK, "join pool query {i}");
+    }
+}
+
+proptest! {
+    // Default config: `PROPTEST_CASES` raises the case count in CI.
+
+    #[test]
+    fn delta_engine_agrees_with_naive_engine_on_joins(jdb in join_db_strategy()) {
+        let db = build_join(&jdb);
+        let support = SupportSet::generate(
+            &db,
+            &SupportConfig { size: jdb.sales.support, seed: jdb.sales.seed, ..Default::default() },
+        );
+        let naive = NaiveConflictEngine::new(&db, &support);
+        let fast = DeltaConflictEngine::new(&db, &support);
+        for (i, q) in join_pool().iter().enumerate() {
+            prop_assert_eq!(naive.conflict_set(q), fast.conflict_set(q), "join pool query {}", i);
+        }
     }
 }

@@ -81,6 +81,17 @@ impl Delta {
         Ok(t)
     }
 
+    /// Applies the cell changes to `row`, a copy of the perturbed tuple.
+    /// Changes past the tuple's arity are ignored, as in
+    /// [`DeltaInstance`] scans.
+    pub fn patch(&self, row: &mut Tuple) {
+        for c in &self.changes {
+            if let Some(v) = row.get_mut(c.column) {
+                *v = c.new_value.clone();
+            }
+        }
+    }
+
     /// True if the delta leaves the tuple unchanged (all new values equal the
     /// old ones).
     pub fn is_noop(&self, base: &Database) -> Result<bool, QdbError> {
@@ -160,12 +171,7 @@ impl<'a> Instance for DeltaInstance<'a> {
             let mut patched: Option<Tuple> = None;
             for d in &relevant {
                 if d.row == i {
-                    let t = patched.get_or_insert_with(|| row.clone());
-                    for c in &d.changes {
-                        if c.column < t.len() {
-                            t[c.column] = c.new_value.clone();
-                        }
-                    }
+                    d.patch(patched.get_or_insert_with(|| row.clone()));
                 }
             }
             match patched {

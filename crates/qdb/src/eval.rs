@@ -7,6 +7,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use crate::expr::BoundExpr;
 use crate::plan::{AggFunc, Aggregate};
 use crate::relation::Tuple;
 use crate::{ColumnType, Expr, Instance, QdbError, Query, Relation, Schema, Value};
@@ -32,12 +33,7 @@ pub fn evaluate<I: Instance + ?Sized>(q: &Query, db: &I) -> Result<Relation, Qdb
         }
         Query::Project { input, exprs } => {
             let rel = evaluate(input, db)?;
-            let mut bound = Vec::with_capacity(exprs.len());
-            let mut schema = Schema::empty();
-            for (e, name) in exprs {
-                bound.push(e.bind(rel.schema())?);
-                schema.push(name.clone(), projected_type(e, rel.schema()));
-            }
+            let (bound, schema) = bind_projection(exprs, rel.schema())?;
             let rows: Vec<Tuple> = rel
                 .rows()
                 .iter()
@@ -102,38 +98,76 @@ fn projected_type(e: &Expr, schema: &Schema) -> ColumnType {
     }
 }
 
-/// Hash equi-join of two materialized relations.
-fn hash_join(l: &Relation, r: &Relation, on: &[(String, String)]) -> Result<Relation, QdbError> {
+/// Binds a projection's expressions against its input schema and builds
+/// the output schema.
+pub(crate) fn bind_projection(
+    exprs: &[(Expr, String)],
+    input: &Schema,
+) -> Result<(Vec<BoundExpr>, Schema), QdbError> {
+    let mut bound = Vec::with_capacity(exprs.len());
+    let mut schema = Schema::empty();
+    for (e, name) in exprs {
+        bound.push(e.bind(input)?);
+        schema.push(name.clone(), projected_type(e, input));
+    }
+    Ok((bound, schema))
+}
+
+/// Output schema of a join: right-hand names that collide with a left-hand
+/// name get the `r.` prefix.
+pub(crate) fn join_schema(l: &Schema, r: &Schema) -> Schema {
+    l.join(r, "r")
+}
+
+/// Resolves a join's `(left column, right column)` pairs to column indices.
+pub(crate) fn join_columns(
+    l: &Schema,
+    r: &Schema,
+    on: &[(String, String)],
+) -> Result<(Vec<usize>, Vec<usize>), QdbError> {
     let mut l_keys = Vec::with_capacity(on.len());
     let mut r_keys = Vec::with_capacity(on.len());
     for (lc, rc) in on {
-        l_keys.push(l.schema().index_of(lc)?);
-        r_keys.push(r.schema().index_of(rc)?);
+        l_keys.push(l.index_of(lc)?);
+        r_keys.push(r.index_of(rc)?);
     }
+    Ok((l_keys, r_keys))
+}
 
-    // Build on the smaller side for memory friendliness; probe with the other.
-    let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(r.len());
-    for (i, row) in r.rows().iter().enumerate() {
-        let key: Vec<Value> = r_keys.iter().map(|&k| row[k].clone()).collect();
-        if key.iter().any(|v| v.is_null()) {
-            continue; // NULL keys never join.
+/// The join key of `row`, or `None` if any key column is NULL: NULL keys
+/// never join.
+pub(crate) fn join_key(row: &[Value], keys: &[usize]) -> Option<Vec<Value>> {
+    let key: Vec<Value> = keys.iter().map(|&k| row[k].clone()).collect();
+    (!key.iter().any(Value::is_null)).then_some(key)
+}
+
+/// Hash index of `rows` on `keys`: each key maps to the positions of its
+/// rows in ascending order. Rows with a NULL key are left out.
+pub(crate) fn hash_index(rows: &[Tuple], keys: &[usize]) -> HashMap<Vec<Value>, Vec<usize>> {
+    let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(rows.len());
+    for (i, row) in rows.iter().enumerate() {
+        if let Some(key) = join_key(row, keys) {
+            index.entry(key).or_default().push(i);
         }
-        index.entry(key).or_default().push(i);
     }
+    index
+}
 
-    let schema = l.schema().join(r.schema(), "r");
+/// Hash equi-join of two materialized relations: builds on the right side,
+/// probes with the left, and emits rows in (left row, right row) order.
+fn hash_join(l: &Relation, r: &Relation, on: &[(String, String)]) -> Result<Relation, QdbError> {
+    let (l_keys, r_keys) = join_columns(l.schema(), r.schema(), on)?;
+    let index = hash_index(r.rows(), &r_keys);
+    let schema = join_schema(l.schema(), r.schema());
     let mut rows = Vec::new();
     for lrow in l.rows() {
-        let key: Vec<Value> = l_keys.iter().map(|&k| lrow[k].clone()).collect();
-        if key.iter().any(|v| v.is_null()) {
+        let Some(matches) = join_key(lrow, &l_keys).and_then(|key| index.get(&key)) else {
             continue;
-        }
-        if let Some(matches) = index.get(&key) {
-            for &ri in matches {
-                let mut out = lrow.clone();
-                out.extend_from_slice(&r.rows()[ri]);
-                rows.push(out);
-            }
+        };
+        for &ri in matches {
+            let mut out = lrow.clone();
+            out.extend_from_slice(&r.rows()[ri]);
+            rows.push(out);
         }
     }
     Relation::from_rows(schema, rows)
@@ -282,62 +316,89 @@ pub(crate) fn aggregate(
     group_by: &[String],
     aggs: &[Aggregate],
 ) -> Result<Relation, QdbError> {
-    let schema = rel.schema();
-    let key_idx: Vec<usize> = group_by
-        .iter()
-        .map(|c| schema.index_of(c))
-        .collect::<Result<_, _>>()?;
-    let agg_idx: Vec<Option<usize>> = aggs
-        .iter()
-        .map(|a| match &a.column {
-            Some(c) => schema.index_of(c).map(Some),
-            None => Ok(None),
+    let agg = BoundAggregate::bind(rel.schema(), group_by, aggs)?;
+    let rows = agg.run(rel.rows());
+    Relation::from_rows(agg.schema, rows)
+}
+
+/// A grouping + aggregation bound to its input schema.
+#[derive(Debug)]
+pub(crate) struct BoundAggregate {
+    key_idx: Vec<usize>,
+    agg_idx: Vec<Option<usize>>,
+    funcs: Vec<AggFunc>,
+    /// Output schema: group columns followed by aggregate aliases.
+    schema: Schema,
+}
+
+impl BoundAggregate {
+    pub(crate) fn bind(
+        schema: &Schema,
+        group_by: &[String],
+        aggs: &[Aggregate],
+    ) -> Result<BoundAggregate, QdbError> {
+        let key_idx: Vec<usize> = group_by
+            .iter()
+            .map(|c| schema.index_of(c))
+            .collect::<Result<_, _>>()?;
+        let agg_idx: Vec<Option<usize>> = aggs
+            .iter()
+            .map(|a| match &a.column {
+                Some(c) => schema.index_of(c).map(Some),
+                None => Ok(None),
+            })
+            .collect::<Result<_, _>>()?;
+
+        let mut out_schema = Schema::empty();
+        for (name, &i) in group_by.iter().zip(&key_idx) {
+            out_schema.push(name.clone(), schema.column_type(i));
+        }
+        for (a, idx) in aggs.iter().zip(&agg_idx) {
+            out_schema.push(
+                a.alias.clone(),
+                agg_output_type(a.func, idx.map(|i| schema.column_type(i))),
+            );
+        }
+        Ok(BoundAggregate {
+            key_idx,
+            agg_idx,
+            funcs: aggs.iter().map(|a| a.func).collect(),
+            schema: out_schema,
         })
-        .collect::<Result<_, _>>()?;
-
-    // Output schema: group columns followed by aggregate aliases.
-    let mut out_schema = Schema::empty();
-    for (name, &i) in group_by.iter().zip(&key_idx) {
-        out_schema.push(name.clone(), schema.column_type(i));
-    }
-    for (a, idx) in aggs.iter().zip(&agg_idx) {
-        out_schema.push(
-            a.alias.clone(),
-            agg_output_type(a.func, idx.map(|i| schema.column_type(i))),
-        );
     }
 
-    let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-    for row in rel.rows() {
-        let key: Vec<Value> = key_idx.iter().map(|&i| row[i].clone()).collect();
-        let states = groups
-            .entry(key)
-            .or_insert_with(|| aggs.iter().map(|a| AggState::new(a.func)).collect());
-        for (state, idx) in states.iter_mut().zip(&agg_idx) {
-            state.update(idx.map(|i| &row[i]));
+    /// The group key of an input row. Keys are also the first columns of
+    /// the group's output row.
+    pub(crate) fn key(&self, row: &[Value]) -> Vec<Value> {
+        self.key_idx.iter().map(|&i| row[i].clone()).collect()
+    }
+
+    /// Folds `rows` in order into one output row per group, in sorted key
+    /// order. A global aggregate over no rows still yields one row.
+    pub(crate) fn run<'r>(&self, rows: impl IntoIterator<Item = &'r Tuple>) -> Vec<Tuple> {
+        let fresh = || -> Vec<AggState> { self.funcs.iter().map(|&f| AggState::new(f)).collect() };
+        let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
+        for row in rows {
+            let states = groups.entry(self.key(row)).or_insert_with(fresh);
+            for (state, idx) in states.iter_mut().zip(&self.agg_idx) {
+                state.update(idx.map(|i| &row[i]));
+            }
         }
-    }
 
-    // A global aggregate over an empty input still produces one row.
-    if groups.is_empty() && group_by.is_empty() {
-        groups.insert(
-            Vec::new(),
-            aggs.iter().map(|a| AggState::new(a.func)).collect(),
-        );
-    }
-
-    let mut keyed: Vec<(Vec<Value>, Vec<AggState>)> = groups.into_iter().collect();
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut rows = Vec::with_capacity(keyed.len());
-    for (key, states) in keyed {
-        let mut row = key;
-        for s in states {
-            row.push(s.finish());
+        if groups.is_empty() && self.key_idx.is_empty() {
+            groups.insert(Vec::new(), fresh());
         }
-        rows.push(row);
+
+        let mut keyed: Vec<(Vec<Value>, Vec<AggState>)> = groups.into_iter().collect();
+        keyed.sort_by(|a, b| a.0.cmp(&b.0));
+        keyed
+            .into_iter()
+            .map(|(mut row, states)| {
+                row.extend(states.into_iter().map(AggState::finish));
+                row
+            })
+            .collect()
     }
-    Relation::from_rows(out_schema, rows)
 }
 
 #[cfg(test)]

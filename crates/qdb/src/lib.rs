@@ -38,6 +38,7 @@
 
 mod database;
 mod delta;
+mod delta_plan;
 mod error;
 mod expr;
 mod instance;
@@ -51,6 +52,7 @@ pub mod pretty;
 
 pub use database::Database;
 pub use delta::{CellChange, Delta, DeltaInstance};
+pub use delta_plan::DeltaPlan;
 pub use error::QdbError;
 pub use expr::{BinOp, Expr};
 pub use instance::{BaseInstance, Instance};

@@ -207,14 +207,25 @@ impl Query {
     }
 
     fn count_scans(&self) -> usize {
+        self.scans_matching(&|_| true)
+    }
+
+    /// Number of times the plan scans `table`.
+    pub(crate) fn scans_of(&self, table: &str) -> usize {
+        self.scans_matching(&|t| t == table)
+    }
+
+    fn scans_matching(&self, matches: &dyn Fn(&str) -> bool) -> usize {
         match self {
-            Query::Scan { .. } => 1,
+            Query::Scan { table } => usize::from(matches(table)),
             Query::Filter { input, .. }
             | Query::Project { input, .. }
             | Query::Aggregate { input, .. }
             | Query::Distinct { input }
-            | Query::Limit { input, .. } => input.count_scans(),
-            Query::Join { left, right, .. } => left.count_scans() + right.count_scans(),
+            | Query::Limit { input, .. } => input.scans_matching(matches),
+            Query::Join { left, right, .. } => {
+                left.scans_matching(matches) + right.scans_matching(matches)
+            }
         }
     }
 
