@@ -28,12 +28,6 @@
 //!   broker on an `Enabled` sink with a trace id stamped per settle, the
 //!   way a `TRACED` frame dispatches (`after`). CI bounds the quotient at
 //!   ≤ 3 % (`after_ns <= 1.03 * before_ns`).
-//! * **wal** — the durability overhead contract: a broker quote+settle
-//!   (`Broker::purchase_at`) bare (`before`) vs identically built but
-//!   `FileStore`-backed with the default group-commit fsync policy
-//!   (`after`) — every settle appends a CRC-framed WAL record before it
-//!   returns. CI bounds the quotient at ≤ 10 % (`after_ns <= 1.10 *
-//!   before_ns`).
 //!
 //! Every measured pair is also *checked* — each timed round asserts the
 //! fast path and the reference produce identical results, so the benchmark
@@ -47,7 +41,6 @@
 //! ```
 
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -58,7 +51,6 @@ use qp_core::{reference, ItemSet};
 use qp_market::{Broker, PurchaseOutcome, SupportConfig};
 use qp_pricing::algorithms::{reference as rate_reference, RateTable};
 use qp_qdb::{ColumnType, Database, Query, Relation, Schema, Value};
-use qp_store::{FileStore, SharedStore};
 use qp_telemetry::TelemetrySink;
 
 /// Operand pool sizes: enough pairs to defeat branch-predictor lock-in,
@@ -125,7 +117,7 @@ fn time_ns<F: FnMut() -> u64>(reps: usize, iters: usize, ops_per_iter: usize, mu
 /// Times two workloads A/B-interleaved: each rep measures `before` then
 /// `after` back to back, so slow drift (CPU frequency, page cache state)
 /// lands on both sides of the ratio instead of biasing one. Used by the
-/// wal row, where the gated quantity *is* the after/before quotient.
+/// tracing row, where the gated quantity *is* the after/before quotient.
 fn time_ns_paired<F: FnMut() -> u64, G: FnMut() -> u64>(
     reps: usize,
     iters: usize,
@@ -407,7 +399,7 @@ fn tracing_overhead_row(reps: usize, iters: usize) -> Row {
 
     let settle_sweep = |broker: &Broker, stamp_trace: bool| {
         let mut acc = 0u64;
-        for i in 0..WAL_OPS as u64 {
+        for i in 0..SETTLE_OPS as u64 {
             if stamp_trace {
                 // Deterministic worker-style ids, like NetTransport mints.
                 qp_telemetry::set_current_trace_id((1u64 << 32) | (i + 1));
@@ -424,12 +416,12 @@ fn tracing_overhead_row(reps: usize, iters: usize) -> Row {
     // setup cost a live server amortizes, not per-quote tracing cost.
     black_box(settle_sweep(&bare, false));
     black_box(settle_sweep(&traced, true));
-    // Like the wal row, this gates a ratio of two µs-scale composites:
-    // paired interleaving + extra reps keep the median honest.
+    // This row gates a ratio of two µs-scale composites: paired
+    // interleaving + extra reps keep the median honest.
     let (before_ns, after_ns) = time_ns_paired(
         reps * 2 - 1,
         iters,
-        WAL_OPS,
+        SETTLE_OPS,
         || settle_sweep(&bare, false),
         || settle_sweep(&traced, true),
     );
@@ -446,89 +438,9 @@ fn tracing_overhead_row(reps: usize, iters: usize) -> Row {
     }
 }
 
-/// Settles per timing iteration on the WAL row — alternating sold/declined
-/// so both ledger paths (and both WAL record kinds) are in the measurement.
-const WAL_OPS: usize = 64;
-
-/// The WAL-append overhead row: `Broker::purchase_at` (quote + settle) on
-/// two identically built brokers, one bare and one backed by a `FileStore`
-/// with the default group-commit fsync policy. The quotient `after/before`
-/// is the durability tax on the quote path that the CI durability job
-/// bounds at 10 %.
-fn wal_append_row(reps: usize, iters: usize) -> Row {
-    fn tiny_broker(store: Option<SharedStore>) -> Broker {
-        let mut rel = Relation::new(Schema::new(vec![
-            ("name", ColumnType::Str),
-            ("size", ColumnType::Int),
-        ]));
-        for i in 0..32 {
-            rel.push(vec![format!("row{i}").into(), Value::Int(i)])
-                .expect("schema matches");
-        }
-        let mut db = Database::new();
-        db.add_table("T", rel);
-        let mut builder = Broker::builder(db)
-            .support_config(SupportConfig::with_size(40))
-            .algorithm("UBP")
-            .anticipate(Query::scan("T"), 30.0);
-        if let Some(store) = store {
-            builder = builder.store(store);
-        }
-        builder.build().expect("UBP is registered")
-    }
-
-    let q = Query::scan("T");
-    let bare = tiny_broker(None);
-    let dir = std::env::temp_dir().join(format!("qp-bench-wal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store: SharedStore =
-        Arc::new(FileStore::open(&dir).expect("opening the WAL bench scratch dir"));
-    let durable = tiny_broker(Some(store));
-    assert_eq!(
-        bare.quote(&q).price.to_bits(),
-        durable.quote(&q).price.to_bits(),
-        "wal: the store must not change pricing"
-    );
-
-    let settle_sweep = |broker: &Broker| {
-        let mut acc = 0u64;
-        for i in 0..WAL_OPS as u64 {
-            // Even ops sell, odd ops decline: both WAL record kinds count.
-            let budget = if i % 2 == 0 { 1e9 } else { 0.0 };
-            match broker.purchase_at(black_box(&q), budget, i).expect("eval") {
-                PurchaseOutcome::Sold { price, .. } => acc = acc.wrapping_add(price.to_bits()),
-                PurchaseOutcome::Declined { price } => acc = acc.wrapping_add(!price.to_bits()),
-            }
-        }
-        acc
-    };
-    // Untimed warmup: the durable broker's first sweep pays WAL file
-    // growth and first-touch page faults that a live server amortizes
-    // over its whole run — they are setup, not quote-path cost.
-    black_box(settle_sweep(&bare));
-    black_box(settle_sweep(&durable));
-    // Extra reps: this row gates a ratio of two ~35 µs composites, so its
-    // median needs more samples than the nanosecond kernel rows.
-    let (before_ns, after_ns) = time_ns_paired(
-        reps * 2 - 1,
-        iters,
-        WAL_OPS,
-        || settle_sweep(&bare),
-        || settle_sweep(&durable),
-    );
-    assert_eq!(
-        bare.ledger().total().to_bits(),
-        durable.ledger().total().to_bits(),
-        "wal: both brokers settled identical traffic"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    Row {
-        group: "wal",
-        kernel: "quote_settle_append",
-        before_ns,
-        after_ns,
-    }
-}
+/// Settles per timing iteration on the tracing row — alternating
+/// sold/declined so both ledger paths are in the measurement.
+const SETTLE_OPS: usize = 64;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -558,7 +470,6 @@ fn main() {
     rows.push(telemetry_overhead_row(&small_pool, reps, iters));
     // Fewer sweeps: each op is a full quote+settle with query evaluation.
     rows.push(tracing_overhead_row(reps, if smoke { iters } else { 50 }));
-    rows.push(wal_append_row(reps, if smoke { iters } else { 50 }));
 
     for r in &rows {
         println!(

@@ -73,7 +73,6 @@ use qp_core::{ItemSet, QuoteScratch};
 use qp_pricing::algorithms::{self, CipConfig, LpipConfig, PricingPatch};
 use qp_pricing::{BundlePricing, Hypergraph, Pricing};
 use qp_qdb::{Database, QdbError, Query, Relation};
-use qp_store::{SharedStore, WalRecord};
 use qp_telemetry::{Counter, SpanHandle, TelemetrySink};
 
 use crate::conflict::{ConflictEngine, DeltaConflictEngine, ParallelConflictEngine};
@@ -187,18 +186,6 @@ impl RevenueLedger {
         self.declined_total
     }
 
-    /// Reconstructs a ledger from recovered parts: the sales in their
-    /// original order (`total()` re-sums float prices in insertion order,
-    /// so preserving it makes the total bit-identical) plus the aggregated
-    /// decline tallies. Crash recovery uses this; see `qp-store`.
-    pub fn from_parts(sales: Vec<Sale>, declined_count: usize, declined_total: f64) -> Self {
-        RevenueLedger {
-            sales,
-            declined_count,
-            declined_total,
-        }
-    }
-
     /// Fraction of purchase attempts that closed, or `None` before any
     /// attempt has been recorded.
     pub fn conversion_rate(&self) -> Option<f64> {
@@ -252,7 +239,6 @@ pub struct BrokerBuilder {
     cip: CipConfig,
     anticipated: Vec<(Query, f64)>,
     telemetry: TelemetrySink,
-    store: Option<SharedStore>,
 }
 
 impl BrokerBuilder {
@@ -267,19 +253,7 @@ impl BrokerBuilder {
             cip: CipConfig::default(),
             anticipated: Vec::new(),
             telemetry: TelemetrySink::Disabled,
-            store: None,
         }
-    }
-
-    /// Attaches a durability store: once the broker is built, every settle
-    /// and every observable repricing appends a WAL record **before** the
-    /// call returns (see `qp-store`). The builder's own initial pricing
-    /// install is deliberately *not* logged — it is deterministic from the
-    /// build inputs, and recovery re-derives it by rebuilding the broker
-    /// the same way before replaying the log.
-    pub fn store(mut self, store: SharedStore) -> BrokerBuilder {
-        self.store = Some(store);
-        self
     }
 
     /// Attaches a telemetry sink: quote/reprice/settle stages record spans
@@ -367,12 +341,6 @@ impl BrokerBuilder {
             }
             broker.set_pricing(algo.run(&h).pricing);
         }
-        // Attached only after the initial install so the seed pricing is
-        // never logged (recovery rebuilds it deterministically instead).
-        let broker = match self.store {
-            Some(store) => broker.with_store(store),
-            None => broker,
-        };
         Ok(broker)
     }
 }
@@ -401,13 +369,6 @@ pub struct Broker {
     /// scratch lock and released first, and no scratch-holding path takes
     /// any further lock.
     scratch: Mutex<QuoteScratch>,
-    /// Durability hook: when present, settles and observable repricings
-    /// append WAL records before returning. Settle appends happen under
-    /// the `ledger` lock so the WAL's record order always equals the
-    /// ledger's insertion order (float totals re-sum bit-identically on
-    /// replay); repricing appends happen under the `pricing` write lock so
-    /// the WAL's patch order equals the epoch order.
-    store: Option<SharedStore>,
     /// Pre-registered observability handles (inert on a disabled sink).
     telemetry: BrokerTelemetry,
 }
@@ -474,42 +435,8 @@ impl Broker {
             epoch: AtomicU64::new(0),
             ledger: Mutex::new(RevenueLedger::default()),
             scratch: Mutex::new(QuoteScratch::new()),
-            store: None,
             telemetry: BrokerTelemetry::default(),
         }
-    }
-
-    /// Attaches a durability store to an already-constructed broker. From
-    /// here on every settle and every observable repricing appends a WAL
-    /// record before returning; see [`BrokerBuilder::store`] for why the
-    /// initial pricing install is expected to happen *before* this.
-    pub fn with_store(mut self, store: SharedStore) -> Broker {
-        self.store = Some(store);
-        self
-    }
-
-    /// Appends a WAL record, honoring the append-before-ack contract: a
-    /// failed append aborts the operation (panics) rather than acking
-    /// state the log does not hold.
-    fn log(&self, record: &WalRecord) {
-        if let Some(store) = &self.store {
-            if let Err(e) = store.append(record) {
-                panic!("WAL append failed, refusing to ack an unlogged settle: {e}");
-            }
-        }
-    }
-
-    /// Logs and records a declined quote under one ledger-lock hold.
-    fn log_decline(&self, price: f64, tick: u64) {
-        let mut ledger = self.ledger.lock();
-        self.log(&WalRecord::Decline {
-            quote_id: 0,
-            shard: 0,
-            price,
-            tick,
-            evicted: false,
-        });
-        ledger.record_decline(price);
     }
 
     /// Attaches a telemetry sink to an already-constructed broker,
@@ -547,9 +474,6 @@ impl Broker {
     pub fn set_pricing(&self, pricing: Pricing) {
         let _span = self.telemetry.reprice.enter();
         let mut installed = self.pricing.write();
-        self.log(&WalRecord::Reprice {
-            patch: PricingPatch::Replace(pricing.clone()),
-        });
         *installed = pricing;
         // Bumped while the write lock is held: no reader can observe the
         // new pricing with the old epoch (or vice versa).
@@ -577,9 +501,6 @@ impl Broker {
         }
         let _span = self.telemetry.reprice.enter();
         let mut installed = self.pricing.write();
-        self.log(&WalRecord::Reprice {
-            patch: patch.clone(),
-        });
         patch.apply(&mut installed);
         // ordering: Release — same pairing as set_pricing's bump.
         self.epoch.fetch_add(1, Ordering::Release);
@@ -597,10 +518,10 @@ impl Broker {
 
     /// Installs recovered pricing state with an **absolute** epoch, for
     /// crash recovery only: unlike [`Broker::set_pricing`] this does not
-    /// bump the epoch (recovery reproduces the pre-crash counter exactly,
-    /// so epoch-validated caches re-validate against the same values) and
-    /// does not append to the WAL (the state being installed came *from*
-    /// the log; logging it again would double it on the next recovery).
+    /// bump the epoch, because recovery reproduces the pre-crash counter
+    /// exactly, so epoch-validated caches re-validate against the same
+    /// values. The shard set that owns the WAL calls it after replaying
+    /// the log (see `qp-server`'s `ShardSet::restore`).
     pub fn restore_pricing(&self, pricing: Pricing, epoch: u64) {
         let mut installed = self.pricing.write();
         *installed = pricing;
@@ -608,12 +529,6 @@ impl Broker {
         // other epoch move, pairing with the Acquire loads in
         // pricing_epoch()/versioned_price().
         self.epoch.store(epoch, Ordering::Release);
-    }
-
-    /// Replaces the revenue ledger with recovered contents (crash
-    /// recovery only; see [`RevenueLedger::from_parts`]).
-    pub fn restore_ledger(&self, ledger: RevenueLedger) {
-        *self.ledger.lock() = ledger;
     }
 
     /// The current pricing epoch: a monotone counter of observable pricing
@@ -788,19 +703,9 @@ impl Broker {
         if quote.price <= budget + 1e-9 {
             match query.evaluate(&self.db) {
                 Ok(answer) => {
-                    {
-                        // WAL append and ledger mark under one lock hold:
-                        // log order must equal ledger order (see `store`).
-                        let mut ledger = self.ledger.lock();
-                        self.log(&WalRecord::Sale {
-                            quote_id: 0,
-                            shard: 0,
-                            bundle_len: quote.conflict_set.len() as u32,
-                            price: quote.price,
-                            tick,
-                        });
-                        ledger.record_at(quote.conflict_set.len(), quote.price, tick);
-                    }
+                    self.ledger
+                        .lock()
+                        .record_at(quote.conflict_set.len(), quote.price, tick);
                     self.telemetry.sales.inc();
                     Ok(PurchaseOutcome::Sold {
                         price: quote.price,
@@ -809,13 +714,13 @@ impl Broker {
                 }
                 Err(e) => {
                     self.telemetry.declines.inc();
-                    self.log_decline(quote.price, tick);
+                    self.ledger.lock().record_decline(quote.price);
                     Err(e)
                 }
             }
         } else {
             self.telemetry.declines.inc();
-            self.log_decline(quote.price, tick);
+            self.ledger.lock().record_decline(quote.price);
             Ok(PurchaseOutcome::Declined { price: quote.price })
         }
     }

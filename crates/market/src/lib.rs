@@ -24,16 +24,13 @@
 //!    (database → support → pricing algorithm by registry name), quote
 //!    queries singly or in batches, swap the pricing function under live
 //!    read traffic, sell queries, and inspect the per-sale revenue ledger.
-
-//! 5. **Durability** ([`durability`]): glue to `qp-store` — the broker can
-//!    append every settle and repricing to a write-ahead log and be
-//!    recovered bit-identically after a crash (see that module's docs and
-//!    the repository's `STORAGE.md`).
+//!    The broker's ledger is in-process only: the server's shard set
+//!    (`qp-server`) owns the durable books and their write-ahead log
+//!    (see `STORAGE.md`).
 
 pub mod arbitrage;
 pub mod broker;
 pub mod conflict;
-pub mod durability;
 pub mod parallel;
 pub mod support;
 
@@ -47,6 +44,5 @@ pub use conflict::{
     build_hypergraph, ConflictEngine, DeltaConflictEngine, NaiveConflictEngine,
     ParallelConflictEngine,
 };
-pub use durability::{broker_snapshot, ledger_from_snapshot, ledger_to_snapshot, recover_broker};
 pub use parallel::{claim_map, claim_map_into};
 pub use support::{SupportConfig, SupportSet};

@@ -57,7 +57,7 @@ impl QuoteClient {
             }
         };
         write_frame(&mut self.stream, &request.encode())?;
-        let payload = read_frame(&mut self.stream)?.ok_or_else(|| {
+        let payload = read_frame(&mut self.stream, None)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
         })?;
         Response::decode(&payload)

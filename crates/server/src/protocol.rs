@@ -14,6 +14,7 @@
 //! `encode`/`decode` pairs, and the round-trip property is pinned by the
 //! tests below.
 
+use parking_lot::atomic::{AtomicBool, Ordering};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -256,22 +257,19 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 
 /// Reads one frame payload. Returns `Ok(None)` on a clean EOF at a frame
 /// boundary (the peer hung up between messages); EOF mid-frame is an error.
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
+/// The announced length is checked against [`MAX_FRAME`] before anything
+/// is allocated.
+///
+/// Read timeouts (`WouldBlock`/`TimedOut`, from a socket with a read
+/// timeout) are retried. Before a frame's first header byte each timeout
+/// also polls `stop`, and a set flag ends the read with `Ok(None)`, so an
+/// idle keep-alive connection neither busy-spins nor outlives shutdown. A
+/// timeout *inside* a frame keeps reading: the peer has committed to
+/// sending it. Callers without a read timeout pass `None`.
+pub fn read_frame<R: Read>(r: &mut R, stop: Option<&AtomicBool>) -> io::Result<Option<Vec<u8>>> {
     let mut header = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut header[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF inside a frame header",
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
+    if !read_full(r, &mut header, true, stop)? {
+        return Ok(None);
     }
     let len = u32::from_be_bytes(header) as usize;
     if len > MAX_FRAME {
@@ -281,8 +279,49 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
         ));
     }
     let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    read_full(r, &mut payload, false, None)?;
     Ok(Some(payload))
+}
+
+/// Fills `buf` for [`read_frame`], retrying interrupts and read timeouts.
+/// Returns `Ok(false)` with nothing read when `buf` is a frame `header` and
+/// the peer hangs up, or `stop` is set, before its first byte.
+fn read_full<R: Read>(
+    r: &mut R,
+    buf: &mut [u8],
+    header: bool,
+    stop: Option<&AtomicBool>,
+) -> io::Result<bool> {
+    let mut got = 0;
+    while got < buf.len() {
+        let at_boundary = header && got == 0;
+        match r.read(&mut buf[got..]) {
+            Ok(0) if at_boundary => return Ok(false),
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    if header {
+                        "EOF inside a frame header"
+                    } else {
+                        "EOF inside a frame payload"
+                    },
+                ))
+            }
+            Ok(n) => got += n,
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                // ordering: Acquire — pairs with the Release stores of the
+                // stop flag.
+                if at_boundary && stop.is_some_and(|s| s.load(Ordering::Acquire)) {
+                    return Ok(false);
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
 }
 
 // ---------------------------------------------------------------------------
@@ -831,6 +870,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     fn roundtrip_request(req: Request) {
         let decoded = Request::decode(&req.encode()).expect("decodes");
@@ -1087,16 +1127,86 @@ mod tests {
         }
         let mut reader = &wire[..];
         for p in &payloads {
-            assert_eq!(read_frame(&mut reader).unwrap().as_deref(), Some(&p[..]));
+            assert_eq!(
+                read_frame(&mut reader, None).unwrap().as_deref(),
+                Some(&p[..])
+            );
         }
         // Clean EOF at the frame boundary.
-        assert_eq!(read_frame(&mut reader).unwrap(), None);
+        assert_eq!(read_frame(&mut reader, None).unwrap(), None);
         // EOF inside a header is an error, not a clean end.
         let mut partial = &[0u8, 0][..];
-        assert!(read_frame(&mut partial).is_err());
+        assert!(read_frame(&mut partial, None).is_err());
         // An oversized announced length is rejected without allocating.
         let huge = (MAX_FRAME as u32 + 1).to_be_bytes();
         let mut reader = &huge[..];
-        assert!(read_frame(&mut reader).is_err());
+        assert!(read_frame(&mut reader, None).is_err());
+
+        // A socket with a read timeout: timeouts before the first header
+        // byte poll the stop flag, timeouts mid-frame keep reading.
+        let start = 4 + payloads[0].len();
+        let frame = &wire[start..start + 4 + payloads[1].len()];
+        let (head, body) = frame.split_at(6);
+        let timeouts_everywhere = || {
+            Scripted(VecDeque::from(vec![
+                Err(io::ErrorKind::WouldBlock),
+                Err(io::ErrorKind::TimedOut),
+                Ok(head.to_vec()),
+                Err(io::ErrorKind::WouldBlock),
+                Err(io::ErrorKind::Interrupted),
+                Err(io::ErrorKind::TimedOut),
+                Ok(body.to_vec()),
+            ]))
+        };
+        let running = AtomicBool::new(false);
+        let stopped = AtomicBool::new(true);
+        for stop in [None, Some(&running)] {
+            let mut reader = timeouts_everywhere();
+            let got = read_frame(&mut reader, stop).unwrap();
+            assert_eq!(got.as_deref(), Some(&payloads[1][..]));
+            assert_eq!(read_frame(&mut reader, stop).unwrap(), None, "clean EOF");
+        }
+        // A set stop flag ends an idle wait at the frame boundary...
+        let mut reader = timeouts_everywhere();
+        assert_eq!(read_frame(&mut reader, Some(&stopped)).unwrap(), None);
+        assert_eq!(reader.0.len(), 6, "nothing past the first timeout was read");
+        // ...but not a frame the peer has started sending.
+        let mut reader = Scripted(VecDeque::from(vec![
+            Ok(frame[..2].to_vec()),
+            Err(io::ErrorKind::TimedOut),
+            Ok(frame[2..6].to_vec()),
+            Err(io::ErrorKind::WouldBlock),
+            Ok(frame[6..].to_vec()),
+        ]));
+        let got = read_frame(&mut reader, Some(&stopped)).unwrap();
+        assert_eq!(got.as_deref(), Some(&payloads[1][..]));
+        // EOF mid-payload is an error even between timeouts.
+        let mut reader = Scripted(VecDeque::from(vec![
+            Ok(head.to_vec()),
+            Err(io::ErrorKind::WouldBlock),
+        ]));
+        assert!(read_frame(&mut reader, Some(&running)).is_err());
+    }
+
+    /// A `Read` that replays a script of chunks and errors, then reports
+    /// EOF. A chunk larger than the caller's buffer is split, with the
+    /// rest served by the next read.
+    struct Scripted(VecDeque<Result<Vec<u8>, io::ErrorKind>>);
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Err(kind)) => Err(kind.into()),
+                Some(Ok(mut chunk)) => {
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.0.push_front(Ok(chunk.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@
 
 use parking_lot::atomic::{AtomicBool, Ordering};
 use parking_lot::Mutex;
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -26,7 +26,7 @@ use qp_core::RingBuffer;
 use qp_store::SharedStore;
 use qp_telemetry::{FlightDump, ProtocolEvent, TelemetrySink};
 
-use crate::protocol::{write_frame, ErrorCode, QuoteReply, Request, Response, MAX_FRAME};
+use crate::protocol::{read_frame, write_frame, ErrorCode, QuoteReply, Request, Response};
 use crate::shard::{SettleOutcome, ShardSet};
 
 /// How often an idle handler thread re-checks the stop flag.
@@ -343,7 +343,7 @@ fn handle_connection(mut stream: TcpStream, state: Arc<ServerState>) {
     let request_span = sink.span_handle("server.request");
     let decode_span = sink.span_handle("frame.decode");
     loop {
-        let payload = match read_frame_idle_aware(&mut stream, &state.stop) {
+        let payload = match read_frame(&mut stream, Some(&state.stop)) {
             Ok(Some(payload)) => payload,
             Ok(None) | Err(_) => return, // peer EOF, stop flag, or broken pipe
         };
@@ -508,72 +508,10 @@ fn error_response(err: &crate::protocol::WireError) -> Response {
     }
 }
 
-/// [`read_frame`] over a stream with a read timeout: timeouts while waiting
-/// for a new frame's first byte poll the stop flag and keep waiting, so an
-/// idle keep-alive connection neither busy-spins nor outlives shutdown.
-/// A timeout *inside* a frame keeps reading — the peer has committed to
-/// sending it.
-fn read_frame_idle_aware(stream: &mut TcpStream, stop: &AtomicBool) -> io::Result<Option<Vec<u8>>> {
-    // Header, byte by byte so a timeout before the first byte is cleanly
-    // distinguishable from one mid-header.
-    let mut header = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        match stream.read(&mut header[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF inside a frame header",
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // ordering: Acquire — pairs with the Release stores of the
-                // stop flag.
-                if got == 0 && stop.load(Ordering::Acquire) {
-                    return Ok(None);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_be_bytes(header) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "oversized frame",
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    let mut got = 0usize;
-    while got < len {
-        match stream.read(&mut payload[got..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF inside a frame payload",
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(Some(payload))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::QuoteClient;
-    use crate::protocol::read_frame;
     use qp_core::ItemSet;
     use qp_market::{Broker, SupportConfig};
     use qp_pricing::algorithms::PricingPatch;
@@ -648,7 +586,7 @@ mod tests {
 
         // Unknown opcode.
         write_frame(&mut stream, &[0x42u8]).unwrap();
-        let reply = read_frame(&mut stream).unwrap().expect("reply");
+        let reply = read_frame(&mut stream, None).unwrap().expect("reply");
         match Response::decode(&reply).unwrap() {
             Response::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownOpcode),
             other => panic!("expected error, got {other:?}"),
@@ -657,13 +595,13 @@ mod tests {
         // Truncated QUOTE body — the connection survives to serve a good
         // request afterwards.
         write_frame(&mut stream, &[0x01u8, 0, 0]).unwrap();
-        let reply = read_frame(&mut stream).unwrap().expect("reply");
+        let reply = read_frame(&mut stream, None).unwrap().expect("reply");
         match Response::decode(&reply).unwrap() {
             Response::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
             other => panic!("expected error, got {other:?}"),
         }
         write_frame(&mut stream, &Request::Stats.encode()).unwrap();
-        let reply = read_frame(&mut stream).unwrap().expect("reply");
+        let reply = read_frame(&mut stream, None).unwrap().expect("reply");
         assert!(matches!(
             Response::decode(&reply).unwrap(),
             Response::Stats(_)
@@ -689,7 +627,7 @@ mod tests {
             let _ = write_frame(&mut s, &Request::Stats.encode());
             s.set_read_timeout(Some(Duration::from_millis(200)))
                 .unwrap();
-            let got_reply = matches!(read_frame(&mut s), Ok(Some(_)));
+            let got_reply = matches!(read_frame(&mut s, None), Ok(Some(_)));
             assert!(!got_reply, "a shut-down server must not serve");
         }
     }

@@ -31,14 +31,16 @@
 //! declines, and pressure evictions alike — appends a WAL record *before*
 //! the call returns (append-before-ack), and every repricing broadcast
 //! appends its patch; on a cadence of broadcasts the full state is written
-//! as an epoch-stamped snapshot. All WAL appends and ledger mutations
-//! happen under one durability lock, so a snapshot captured under that
-//! lock is exactly consistent with its `wal_seq` — the invariant
-//! [`ShardSet::restore`] relies on to rebuild revenue **bit-identically**
-//! (per-shard sale order is preserved, so order-sensitive float summation
-//! reproduces). Lock order: `pending` → `durability` → shard `ledger`;
-//! the brokers handed to a stored shard set must not carry stores of
-//! their own, or repricing broadcasts would be logged twice.
+//! as an epoch-stamped snapshot. The shard set is the only durability
+//! owner: each shard's books are a [`LedgerSnapshot`], and every settle or
+//! eviction builds its [`WalRecord`] once, appends it, and folds that same
+//! record in with [`LedgerSnapshot::apply`] — the fold
+//! [`Recovery::replay`](qp_store::Recovery::replay) runs over the log. Live
+//! and recovered books are therefore one function of the WAL, and
+//! [`ShardSet::restore`] rebuilds revenue **bit-identically**. All WAL
+//! appends and ledger mutations happen under one durability lock, so a
+//! snapshot captured under that lock is exactly consistent with its
+//! `wal_seq`. Lock order: `pending` → `durability` → shard `ledger`.
 
 use parking_lot::atomic::{AtomicU64, Ordering};
 use std::collections::hash_map::Entry;
@@ -48,9 +50,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use qp_core::ItemSet;
-use qp_market::{ledger_from_snapshot, ledger_to_snapshot, Broker, RevenueLedger};
+use qp_market::Broker;
 use qp_pricing::algorithms::PricingPatch;
-use qp_store::{ReplayedState, SharedStore, Snapshot, StoreError, WalRecord};
+use qp_store::{LedgerSnapshot, ReplayedState, SharedStore, Snapshot, StoreError, WalRecord};
 use qp_telemetry::{Counter, SpanHandle, TelemetrySink};
 
 use crate::protocol::ShardStats;
@@ -99,10 +101,11 @@ struct Shard {
     /// pressure before the client settled them (each is also recorded as a
     /// decline in the ledger).
     evictions: AtomicU64,
-    /// Server-side sales record. Separate from the broker's own ledger:
-    /// wire purchases settle bundles, not queries, so nothing is evaluated
-    /// on the database here.
-    ledger: Mutex<RevenueLedger>,
+    /// The shard's books: the fold of its WAL records (see the module
+    /// docs). Separate from the broker's in-process ledger: wire purchases
+    /// settle bundles, not queries, so nothing is evaluated on the
+    /// database here.
+    ledger: Mutex<LedgerSnapshot>,
 }
 
 /// A served quote: the one-shot id plus everything the wire reply carries.
@@ -176,6 +179,13 @@ impl Durability {
                 panic!("WAL append failed, refusing to ack an unlogged settle: {e}");
             }
         }
+    }
+
+    /// Logs a settle or eviction record, then folds the same record into
+    /// the shard's ledger with the fold recovery replays.
+    fn book(&self, ledger: &Mutex<LedgerSnapshot>, record: &WalRecord) {
+        self.log(record);
+        ledger.lock().apply(record);
     }
 }
 
@@ -272,7 +282,7 @@ impl ShardSet {
                     misses: AtomicU64::new(0),
                     invalidations: AtomicU64::new(0),
                     evictions: AtomicU64::new(0),
-                    ledger: Mutex::new(RevenueLedger::default()),
+                    ledger: Mutex::new(LedgerSnapshot::default()),
                 })
                 .collect(),
             cache_capacity,
@@ -303,8 +313,6 @@ impl ShardSet {
     /// record before returning, every non-`Keep` repricing broadcast
     /// appends its patch, and a full snapshot is written every
     /// `snapshot_every` non-`Keep` broadcasts (see the module docs).
-    ///
-    /// The brokers must not carry stores of their own.
     ///
     /// # Panics
     ///
@@ -358,8 +366,8 @@ impl ShardSet {
         }
         let set = ShardSet::with_cache_capacity(brokers, cache_capacity)
             .with_store(store, snapshot_every);
-        for (shard, ledger_snap) in set.shards.iter().zip(&state.shards) {
-            *shard.ledger.lock() = ledger_from_snapshot(ledger_snap);
+        for (shard, ledger) in set.shards.iter().zip(&state.shards) {
+            *shard.ledger.lock() = ledger.clone();
         }
         // The counter holds the count of ids issued so far; replayed
         // `next_quote_id` is the next id to hand out, i.e. counter + 1.
@@ -490,16 +498,16 @@ impl ShardSet {
                 // ordering: Relaxed — statistics counter.
                 shard.evictions.fetch_add(1, Ordering::Relaxed);
                 self.telemetry.evicted.inc();
-                let dur = self.durability.lock();
-                let mut ledger = shard.ledger.lock();
-                dur.log(&WalRecord::Decline {
-                    quote_id: evicted_id,
-                    shard: evicted.shard as u32,
-                    price: evicted.price,
-                    tick: 0,
-                    evicted: true,
-                });
-                ledger.record_decline(evicted.price);
+                self.durability.lock().book(
+                    &shard.ledger,
+                    &WalRecord::Decline {
+                        quote_id: evicted_id,
+                        shard: evicted.shard as u32,
+                        price: evicted.price,
+                        tick: 0,
+                        evicted: true,
+                    },
+                );
             }
             pending.insert(
                 quote_id,
@@ -546,32 +554,30 @@ impl ShardSet {
         if self.telemetry.sink.is_enabled() {
             qp_telemetry::set_current_shard(pending.shard as u32);
         }
-        let shard = &self.shards[pending.shard];
         let sold = pending.price <= budget + BUDGET_EPSILON;
-        // WAL append strictly before the ledger write and the return: if
-        // the append panics, no in-memory state has changed and nothing
-        // unlogged is ever acked.
-        let dur = self.durability.lock();
-        let mut ledger = shard.ledger.lock();
-        if sold {
-            dur.log(&WalRecord::Sale {
+        let record = if sold {
+            WalRecord::Sale {
                 quote_id,
                 shard: pending.shard as u32,
                 bundle_len: pending.bundle_len as u32,
                 price: pending.price,
                 tick,
-            });
-            ledger.record_at(pending.bundle_len, pending.price, tick);
+            }
         } else {
-            dur.log(&WalRecord::Decline {
+            WalRecord::Decline {
                 quote_id,
                 shard: pending.shard as u32,
                 price: pending.price,
                 tick,
                 evicted: false,
-            });
-            ledger.record_decline(pending.price);
-        }
+            }
+        };
+        // WAL append strictly before the ledger write and the return: if
+        // the append panics, no in-memory state has changed and nothing
+        // unlogged is ever acked.
+        self.durability
+            .lock()
+            .book(&self.shards[pending.shard].ledger, &record);
         SettleOutcome::Settled {
             sold,
             price: pending.price,
@@ -649,7 +655,7 @@ impl ShardSet {
             shards: self
                 .shards
                 .iter()
-                .map(|s| ledger_to_snapshot(&s.ledger.lock()))
+                .map(|s| s.ledger.lock().clone())
                 .collect(),
         };
         if let Err(e) = store.write_snapshot(&snapshot) {
@@ -691,8 +697,8 @@ impl ShardSet {
                     cache_hits: hits,
                     invalidations,
                     evictions,
-                    sales: ledger.len() as u64,
-                    declines: ledger.declined_count() as u64,
+                    sales: ledger.sales.len() as u64,
+                    declines: ledger.declined_count,
                     revenue: ledger.total(),
                 }
             })
@@ -711,6 +717,8 @@ mod tests {
     use qp_market::SupportConfig;
     use qp_pricing::Pricing;
     use qp_qdb::{ColumnType, Database, Query, Relation, Schema, Value};
+    use qp_store::{MemStore, SaleEntry, Store};
+    use std::collections::VecDeque;
 
     fn tiny_broker() -> Arc<Broker> {
         let mut rel = Relation::new(Schema::new(vec![
@@ -944,32 +952,141 @@ mod tests {
         assert!((o_total - (p_total + forgone_expected)).abs() < 1e-9 * o_total.abs().max(1.0));
     }
 
+    /// A ledger with its floats as bit patterns, for exact comparison.
+    fn ledger_bits(l: &LedgerSnapshot) -> (Vec<[u64; 3]>, u64, u64) {
+        let sale = |s: &SaleEntry| [s.bundle_len.into(), s.price.to_bits(), s.tick];
+        (
+            l.sales.iter().map(sale).collect(),
+            l.declined_count,
+            l.declined_total.to_bits(),
+        )
+    }
+
+    /// What the log alone pins of the quote-id allocator: one past every
+    /// logged id (or the snapshot's counter), and the highest eviction
+    /// since the last snapshot. Quotes are not logged, so these trail the
+    /// live counters until the quote is settled or evicted.
+    #[derive(Default)]
+    struct LoggedIds {
+        next_quote_id: u64,
+        evicted_watermark: u64,
+    }
+
+    /// Recovers `store` and asserts the replay equals the live set: the
+    /// per-shard ledgers entry for entry, the pricing and its epoch, and
+    /// the id allocator state the log pins. Returns whether the recovery
+    /// started from a snapshot.
+    fn assert_live_is_replay(live: &ShardSet, store: &dyn Store, logged: &LoggedIds) -> bool {
+        let recovery = store.recover().expect("recover");
+        let (seed_pricing, seed_epoch) = tiny_broker().pricing_snapshot();
+        let state = recovery.replay(seed_pricing, seed_epoch, live.num_shards());
+        assert_eq!(state.shards.len(), live.num_shards());
+        for (replayed, shard) in state.shards.iter().zip(&live.shards) {
+            assert_eq!(ledger_bits(replayed), ledger_bits(&shard.ledger.lock()));
+        }
+        let (pricing, epoch) = live.broker(0).pricing_snapshot();
+        assert_eq!((state.pricing, state.epoch), (pricing, epoch));
+        assert_eq!(state.next_quote_id, logged.next_quote_id);
+        assert_eq!(state.evicted_watermark, logged.evicted_watermark);
+        // Never past the live allocator: no id a live quote holds is lost.
+        assert!(state.next_quote_id <= live.next_quote_id.load(Ordering::SeqCst) + 1);
+        assert!(state.evicted_watermark <= live.evicted_watermark.load(Ordering::SeqCst));
+        recovery.snapshot.is_some()
+    }
+
     #[test]
     fn stored_set_recovers_bit_identically_after_a_crash() {
-        use qp_store::MemStore;
+        enum Step {
+            Quote(usize),
+            /// Settles the oldest outstanding quote with this budget.
+            Settle(f64),
+            Reprice(PricingPatch),
+        }
+        use Step::{Quote, Reprice, Settle};
+
+        const CAP: usize = 3;
         let store = Arc::new(MemStore::new());
-        let live =
-            ShardSet::new((0..2).map(|_| tiny_broker()).collect()).with_store(store.clone(), 2);
-        // Interleave sales, declines, evictions, and repricings.
-        live.apply_patch(&PricingPatch::SetUniformPrice(10.0));
+        let live = ShardSet::new((0..2).map(|_| tiny_broker()).collect())
+            .with_pending_cap(CAP)
+            .with_store(store.clone(), 2);
+        // Interleave sales, declines, evictions, and repricings; with a
+        // snapshot every 2 non-`Keep` repricings, recoveries run from the
+        // WAL alone and from a snapshot plus suffix.
+        let script = [
+            Reprice(PricingPatch::SetUniformPrice(10.0)),
+            Quote(0),
+            Quote(1),
+            Settle(1e9),
+            Quote(2),
+            Quote(3),
+            Quote(4), // evicts
+            Settle(0.0),
+            Reprice(PricingPatch::SetUniformPrice(12.5)), // snapshot
+            Quote(5),
+            Settle(1e9),
+            Quote(6),
+            Quote(7), // evicts
+            Reprice(PricingPatch::Keep),
+            Quote(8), // evicts
+            Settle(1e9),
+            Settle(0.0),
+            Reprice(PricingPatch::SetUniformPrice(7.25)),
+            Quote(9),
+            Quote(10),
+            Quote(11),
+            Quote(12), // evicts
+            Settle(1e9),
+            Settle(0.0),
+            Settle(1e9), // nothing left outstanding
+        ];
+        let mut logged = LoggedIds::default();
+        let mut outstanding = VecDeque::new();
         let mut ids = Vec::new();
-        for i in 0..12usize {
-            let bundle: ItemSet = [i % 5, i % 3 + 5].as_slice().into();
-            ids.push(live.quote(&bundle).quote_id);
-            if i == 5 {
-                live.apply_patch(&PricingPatch::SetUniformPrice(12.5));
+        let (mut reprices, mut from_wal, mut from_snapshot) = (0u64, 0, 0);
+        for (tick, step) in script.into_iter().enumerate() {
+            match step {
+                Quote(i) => {
+                    if outstanding.len() == CAP {
+                        let evicted = outstanding.pop_front().unwrap();
+                        logged.next_quote_id = logged.next_quote_id.max(evicted + 1);
+                        logged.evicted_watermark = evicted;
+                    }
+                    let bundle: ItemSet = [i % 5, i % 3 + 5].as_slice().into();
+                    let id = live.quote(&bundle).quote_id;
+                    outstanding.push_back(id);
+                    ids.push(id);
+                }
+                Settle(budget) => {
+                    let id = outstanding.pop_front().unwrap();
+                    let outcome = live.settle(id, budget, tick as u64);
+                    assert!(
+                        matches!(outcome, SettleOutcome::Settled { sold, .. } if sold == (budget > 0.0))
+                    );
+                    logged.next_quote_id = logged.next_quote_id.max(id + 1);
+                }
+                Reprice(patch) => {
+                    let seq = store.wal_seq();
+                    live.apply_patch(&patch);
+                    if matches!(patch, PricingPatch::Keep) {
+                        assert_eq!(store.wal_seq(), seq, "Keep must not log");
+                    } else {
+                        reprices += 1;
+                        if reprices % 2 == 0 {
+                            logged.next_quote_id = live.next_quote_id.load(Ordering::SeqCst) + 1;
+                            logged.evicted_watermark = 0;
+                        }
+                    }
+                }
             }
-            if i == 9 {
-                live.apply_patch(&PricingPatch::Keep); // must not log
+            if assert_live_is_replay(&live, store.as_ref(), &logged) {
+                from_snapshot += 1;
+            } else {
+                from_wal += 1;
             }
         }
-        for (i, &id) in ids.iter().enumerate() {
-            let budget = if i % 4 == 3 { 0.0 } else { 1e9 };
-            assert!(matches!(
-                live.settle(id, budget, i as u64),
-                SettleOutcome::Settled { .. }
-            ));
-        }
+        assert!(outstanding.is_empty());
+        assert!(from_wal > 0 && from_snapshot > 0, "both recovery paths ran");
+        assert!(live.stats().iter().map(|s| s.evictions).sum::<u64>() >= 4);
         let live_stats = live.stats();
         drop(live); // the crash
 
@@ -997,6 +1114,21 @@ mod tests {
         let bundle: ItemSet = [1usize].as_slice().into();
         let q = recovered.quote(&bundle);
         assert!(q.quote_id > *ids.last().unwrap());
+    }
+
+    #[test]
+    #[should_panic(expected = "different shard count")]
+    fn restoring_a_two_shard_wal_into_one_shard_is_rejected() {
+        let store = Arc::new(MemStore::new());
+        let live = shard_set(2).with_store(store.clone(), 2);
+        // Settle on both shards; no repricing, so the WAL has no snapshot.
+        for i in 0..8usize {
+            let q = live.quote(&[i].as_slice().into());
+            live.settle(q.quote_id, 1e9, 0);
+        }
+        assert!(live.stats().iter().all(|s| s.sales > 0));
+        assert!(store.recover().unwrap().snapshot.is_none());
+        let _ = ShardSet::restore(vec![tiny_broker()], DEFAULT_CACHE_CAPACITY, store, 2);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! # qp-store — log-structured durability for broker state
 //!
 //! Everything revenue-relevant a broker shard set holds in memory — the
-//! installed [`Pricing`], the PR 5 pricing epoch, and every shard's
-//! [`RevenueLedger`](https://docs.rs) totals — is reconstructible from two
-//! artifacts this crate owns:
+//! installed [`Pricing`], the pricing epoch, and every shard's
+//! [`LedgerSnapshot`] — is reconstructible from two artifacts this crate
+//! owns:
 //!
 //! * an **append-only WAL** of [`WalRecord`]s (every sale, every decline —
 //!   including pressure evictions — and every `PricingPatch` repricing),
@@ -25,8 +25,10 @@
 //! WAL record after that snapshot's sequence number; the file backend
 //! truncates the WAL at the first torn or corrupt frame on open, so a
 //! partially-written tail is dropped, never replayed. [`Recovery::replay`]
-//! then folds the records into a [`ReplayedState`] — the replay oracle the
-//! crash harness compares against a live server, **bit-identically**:
+//! then folds the records into a [`ReplayedState`] through
+//! [`LedgerSnapshot::apply`], the same fold the live shard set runs on
+//! every record it appends — so the replay is the live books,
+//! **bit-identically**:
 //! floats travel as raw bit patterns end to end, and per-shard sale order
 //! is preserved so order-sensitive float summation reproduces exactly.
 //!
@@ -117,6 +119,10 @@ pub trait Store: Send + Sync {
     fn wal_seq(&self) -> u64;
 }
 
+/// Most shards a replayed log may name. Shard indices are read from the
+/// log, so replay bounds them before growing the ledger vector to one.
+const MAX_REPLAY_SHARDS: usize = 1 << 16;
+
 /// What [`Store::recover`] found.
 #[derive(Debug, Clone, Default)]
 pub struct Recovery {
@@ -144,7 +150,14 @@ impl Recovery {
     /// snapshot exists and no `Replace` record has been replayed yet, and
     /// must be rebuilt deterministically by the caller (the serve binary
     /// re-derives them from its seed). `num_shards` pads the ledger vector
-    /// so shards that never settled still get an empty ledger.
+    /// so shards that never settled still get an empty ledger; a log that
+    /// names more shards grows it further, so a changed shard count shows
+    /// up as a longer `shards` vector rather than a panic here.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a record naming a shard index of 65 536 or more: no
+    /// shard set writes one, so the log is corrupt.
     pub fn replay(
         &self,
         seed_pricing: Pricing,
@@ -167,32 +180,22 @@ impl Recovery {
         for record in &self.wal {
             match record {
                 WalRecord::Sale {
-                    quote_id,
-                    shard,
-                    bundle_len,
-                    price,
-                    tick,
-                } => {
-                    let shard = &mut shards[*shard as usize];
-                    shard.sales.push(SaleEntry {
-                        bundle_len: *bundle_len,
-                        price: *price,
-                        tick: *tick,
-                    });
-                    next_quote_id = next_quote_id.max(quote_id + 1);
+                    quote_id, shard, ..
                 }
-                WalRecord::Decline {
-                    quote_id,
-                    shard,
-                    price,
-                    evicted,
-                    ..
+                | WalRecord::Decline {
+                    quote_id, shard, ..
                 } => {
-                    let shard = &mut shards[*shard as usize];
-                    shard.declined_count += 1;
-                    shard.declined_total += *price;
+                    let shard = *shard as usize;
+                    assert!(
+                        shard < MAX_REPLAY_SHARDS,
+                        "WAL record names shard {shard}, past the replay shard limit"
+                    );
+                    if shards.len() <= shard {
+                        shards.resize(shard + 1, LedgerSnapshot::default());
+                    }
+                    shards[shard].apply(record);
                     next_quote_id = next_quote_id.max(quote_id + 1);
-                    if *evicted {
+                    if let WalRecord::Decline { evicted: true, .. } = record {
                         evicted_watermark = evicted_watermark.max(*quote_id);
                     }
                 }
@@ -234,10 +237,35 @@ pub struct ReplayedState {
 }
 
 impl LedgerSnapshot {
-    /// Realized revenue: sale prices summed in insertion order via the same
-    /// `Sum` impl as `RevenueLedger::total` — float addition is
-    /// order-sensitive, and the two must agree even on the sign of an
-    /// empty ledger's zero.
+    /// Folds one WAL record into this ledger: a `Sale` appends its entry, a
+    /// `Decline` (buyer decline or pressure eviction) bumps the decline
+    /// tallies, and a `Reprice` leaves the ledger alone. This is the one
+    /// ledger fold: the live shard set applies each record right after
+    /// appending it, and [`Recovery::replay`] applies the same records
+    /// from the log, so live and recovered books agree by construction.
+    pub fn apply(&mut self, record: &WalRecord) {
+        match record {
+            WalRecord::Sale {
+                bundle_len,
+                price,
+                tick,
+                ..
+            } => self.sales.push(SaleEntry {
+                bundle_len: *bundle_len,
+                price: *price,
+                tick: *tick,
+            }),
+            WalRecord::Decline { price, .. } => {
+                self.declined_count += 1;
+                self.declined_total += *price;
+            }
+            WalRecord::Reprice { .. } => {}
+        }
+    }
+
+    /// Realized revenue: sale prices summed in insertion order. Float
+    /// addition is order-sensitive, so the live books and a replay agree
+    /// bit for bit only because both fold records in log order.
     pub fn total(&self) -> f64 {
         self.sales.iter().map(|s| s.price).sum()
     }
@@ -261,8 +289,8 @@ impl ReplayedState {
     }
 }
 
-/// A shared, dynamically-typed store handle as threaded through brokers
-/// and shard sets.
+/// A shared, dynamically-typed store handle, as attached to a shard set
+/// and its flight recorder.
 pub type SharedStore = Arc<dyn Store>;
 
 #[cfg(test)]
@@ -324,6 +352,16 @@ mod tests {
         assert_eq!(state.declines(), 2);
         assert_eq!(state.revenue().to_bits(), (2.0f64 + 3.5).to_bits());
         assert_eq!(state.pricing, Pricing::UniformBundle { price: 4.0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "past the replay shard limit")]
+    fn replay_bounds_the_shard_index_before_allocating() {
+        let recovery = Recovery {
+            wal: vec![sale(0, u32::MAX, 1.0, 0)],
+            ..Recovery::default()
+        };
+        recovery.replay(Pricing::UniformBundle { price: 1.0 }, 0, 1);
     }
 
     #[test]

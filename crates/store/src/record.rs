@@ -34,7 +34,7 @@ const PATCH_SET_UNIFORM_WEIGHT: u8 = 3;
 ///
 /// Records carry the quote id so recovery can restore the id allocator past
 /// every id ever settled, and the shard index so per-shard ledgers rebuild
-/// exactly — `RevenueLedger::total()` sums in insertion order, and float
+/// exactly — [`LedgerSnapshot::total`] sums in insertion order, and float
 /// addition is order-sensitive, so replay must put every sale back on the
 /// shard (and in the slot) it originally landed in.
 #[derive(Debug, Clone, PartialEq)]
