@@ -9,8 +9,14 @@
 //! takes minutes — the combinatorial algorithms are what the big sizes are
 //! tracking); the cap is part of what is being timed, exactly as in the
 //! harness's quick scales.
+//!
+//! Each `algorithm_scaling` iteration runs on a fresh clone of the
+//! hypergraph: the graph memoizes LPIP and CIP outcomes (and XOS composes
+//! them), so repeated runs on one graph would time memo hits and hide
+//! LP-layer regressions. A clone starts with an empty memo, and
+//! `iter_batched` keeps the clone out of the timing.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use qp_pricing::algorithms::{self, CipConfig, LpipConfig};
 use qp_pricing::Hypergraph;
 use rand::rngs::StdRng;
@@ -71,7 +77,7 @@ fn bench_scaling(c: &mut Criterion) {
                 continue;
             }
             group.bench_with_input(BenchmarkId::new(algo.name(), m), &h, |b, h| {
-                b.iter(|| algo.run(h))
+                b.iter_batched(|| h.clone(), |h| algo.run(&h), BatchSize::LargeInput)
             });
         }
     }

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use qp_market::{build_hypergraph, ParallelConflictEngine, SupportConfig, SupportSet};
 use qp_pricing::algorithms::{
-    self, refine_uniform_bundle_price, uniform_bundle_price, xos_pricing, CipConfig, LpipConfig,
+    self, refine_uniform_bundle_price, uniform_bundle_price, CipConfig, LpipConfig,
     PricingAlgorithm,
 };
 use qp_pricing::{bounds, revenue, Hypergraph};
@@ -273,30 +273,18 @@ impl AlgoConfig {
 /// subadditive bounds) on a hypergraph whose valuations are already set.
 ///
 /// As in the paper's setup, XOS reuses the LPIP and CIP price vectors already
-/// computed in the same run instead of solving both LPs again, so its
-/// reported time is the cost of composing and evaluating the max — not a
-/// second LPIP + CIP solve.
+/// computed in the same run instead of solving both LPs again — the
+/// hypergraph memoizes them — so its reported time is the cost of composing
+/// and evaluating the max, not a second LPIP + CIP solve.
 pub fn run_all_algorithms(h: &Hypergraph, cfg: &AlgoConfig) -> (Vec<AlgorithmRun>, f64, f64) {
     let sum = bounds::sum_of_valuations(h);
     let subadd = bounds::subadditive_bound(h, &Default::default());
 
-    let mut lpip_pricing: Option<qp_pricing::Pricing> = None;
-    let mut cip_pricing: Option<qp_pricing::Pricing> = None;
     let mut runs = Vec::new();
     for algo in cfg.algorithms() {
         let start = Instant::now();
-        let out = match (algo.name(), &lpip_pricing, &cip_pricing) {
-            ("XOS", Some(lpip), Some(cip)) => {
-                qp_pricing::algorithms::xos_from_components(h, &[lpip.clone(), cip.clone()])
-            }
-            _ => algo.run(h),
-        };
+        let out = algo.run(h);
         let time = start.elapsed();
-        match algo.name() {
-            "LPIP" => lpip_pricing = Some(out.pricing.clone()),
-            "CIP" => cip_pricing = Some(out.pricing.clone()),
-            _ => {}
-        }
         runs.push(AlgorithmRun {
             name: algo.name().to_string(),
             revenue: out.revenue,
@@ -340,21 +328,6 @@ pub fn print_panel(title: &str, runs: &[AlgorithmRun], sum: f64, subadditive: f6
 /// Formats a duration in seconds with two decimals (Tables 4–6 use seconds).
 pub fn secs(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64())
-}
-
-/// Checks that `xos_pricing` and composing registry-produced LPIP / CIP
-/// pricings through `xos_from_components` agree (used by the ablation binary
-/// and tests).
-pub fn xos_consistency(h: &Hypergraph, cfg: &AlgoConfig) -> (f64, f64) {
-    let full = xos_pricing(h, &cfg.lpip, &cfg.cip);
-    let lpip = algorithms::by_name_with("LPIP", &cfg.lpip, &cfg.cip)
-        .expect("LPIP is registered")
-        .run(h);
-    let cip = algorithms::by_name_with("CIP", &cfg.lpip, &cfg.cip)
-        .expect("CIP is registered")
-        .run(h);
-    let reused = qp_pricing::algorithms::xos_from_components(h, &[lpip.pricing, cip.pricing]);
-    (full.revenue, reused.revenue)
 }
 
 /// Also re-export the refinement experiment helper for the `ubp_refinement`

@@ -12,7 +12,7 @@
 //! | `ordering-comment` | a non-`SeqCst` atomic `Ordering::*` without a `// ordering:` justification comment on the same or a directly preceding line |
 //! | `unwrap-in-server` | `.unwrap()`/`.expect(` on `qp-server` request paths (`crates/server/src`, excluding the panic-by-design loadgen `transport.rs` and `bin/`) |
 //! | `float-eq` | `==`/`!=` against a float literal without `to_bits` or a `// float-eq:` justification comment |
-//! | `alloc-in-kernel` | `Vec::new()` / `.to_vec()` / `collect::<Vec<…>>` in a cache-hot kernel module without an `// alloc:` justification comment (kernels reuse buffers; steady-state allocation is a regression) |
+//! | `alloc-in-kernel` | `Vec::new()` / `.to_vec()` / `collect::<Vec<…>>` in a cache-hot kernel module (`ItemSet`, the incremental repricer, the simplex) without an `// alloc:` justification comment (kernels reuse buffers; steady-state allocation is a regression) |
 //! | `wallclock` | `Instant::now()` / `SystemTime::now()` outside `qp-telemetry`, `qp-bench`, and `bin/` without a `// timing:` justification comment (ambient clock reads belong in the telemetry layer, where they are provably out-of-band) |
 //!
 //! All rules skip test code (`#[cfg(test)]`/`#[test]` items and everything
@@ -367,11 +367,13 @@ impl Scope<'_> {
 }
 
 /// The modules whose hot loops are allocation-free by design: the
-/// `ItemSet` representation and kernels, and the incremental repricer's
-/// merge machinery.
-const KERNEL_MODULES: [&str; 2] = [
+/// `ItemSet` representation and kernels, the incremental repricer's
+/// merge machinery, and the simplex, whose tableau lives in a workspace
+/// reused across an LP sweep.
+const KERNEL_MODULES: [&str; 3] = [
     "crates/core/src/set.rs",
     "crates/pricing/src/algorithms/incremental.rs",
+    "crates/lp/src/simplex.rs",
 ];
 
 const STD_SYNC_DENY: [&str; 4] = ["Mutex", "RwLock", "Condvar", "atomic"];

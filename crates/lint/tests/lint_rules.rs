@@ -79,8 +79,13 @@ fn alloc_kernel_rule_fires_exactly_where_seeded() {
             ("alloc-in-kernel", 11),
         ]
     );
-    let v = lint_source("crates/pricing/src/algorithms/incremental.rs", src);
-    assert_eq!(fired(&v).len(), 3, "both kernel modules are in scope");
+    for kernel in [
+        "crates/pricing/src/algorithms/incremental.rs",
+        "crates/lp/src/simplex.rs",
+    ] {
+        let v = lint_source(kernel, src);
+        assert_eq!(fired(&v).len(), 3, "{kernel} is a kernel module");
+    }
     // The same source is fine anywhere outside the kernel modules.
     assert!(lint_source("crates/core/src/arena.rs", src).is_empty());
     assert!(lint_source("crates/market/src/broker.rs", src).is_empty());

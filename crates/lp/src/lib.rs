@@ -5,7 +5,8 @@
 //! moderately sized linear programs. The paper used CVXPY; this crate provides
 //! the equivalent substrate in pure Rust: a dense **two-phase primal simplex**
 //! solver that returns both the primal solution and the dual values of every
-//! constraint.
+//! constraint. A [`SimplexWorkspace`] owns the solver's buffers, so a sweep
+//! of related LPs ([`LpProblem::solve_with`]) reuses one tableau.
 //!
 //! The solver targets the problem shapes that appear in query pricing
 //! (hundreds of constraints, a few thousand variables) and favours
@@ -48,6 +49,7 @@ pub mod validate;
 
 pub use error::LpError;
 pub use problem::{Constraint, ConstraintOp, LpProblem, Sense};
+pub use simplex::SimplexWorkspace;
 pub use solution::{LpSolution, LpStatus};
 
 /// Numerical tolerance used throughout the solver for feasibility and

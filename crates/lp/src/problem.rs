@@ -1,6 +1,6 @@
 //! Linear-program construction.
 
-use crate::{simplex, LpError, LpSolution};
+use crate::{simplex, LpError, LpSolution, SimplexWorkspace};
 
 /// Optimization direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,8 +154,16 @@ impl LpProblem {
     /// Returns [`LpError::Infeasible`] / [`LpError::Unbounded`] for the
     /// corresponding outcomes.
     pub fn solve(&self) -> Result<LpSolution, LpError> {
+        self.solve_with(&mut SimplexWorkspace::new())
+    }
+
+    /// [`LpProblem::solve`] in the buffers of `ws`, so a sequence of solves
+    /// reuses one tableau instead of allocating one per problem. The result
+    /// is bit-identical to [`LpProblem::solve`]'s whatever `ws` solved
+    /// before.
+    pub fn solve_with(&self, ws: &mut SimplexWorkspace) -> Result<LpSolution, LpError> {
         self.validate()?;
-        simplex::solve(self)
+        simplex::solve(self, ws)
     }
 }
 

@@ -5,10 +5,16 @@
 //! negated sum of artificial variables; phase 2 optimizes the user objective.
 //! Dantzig pricing is used by default with a switch to Bland's rule after a
 //! pivot budget is exceeded, which guarantees termination.
+//!
+//! Every buffer the solver touches lives in a [`SimplexWorkspace`], so a
+//! sweep of LPs (LPIP's thresholds, CIP's capacities) pays for its tableau
+//! once instead of once per LP. Only the returned primal and dual vectors
+//! are allocated per solve.
 
 use crate::{ConstraintOp, LpError, LpProblem, LpSolution, LpStatus, Sense, EPS};
 
 /// Per-row bookkeeping of how the original constraint was normalized.
+#[derive(Debug)]
 struct RowInfo {
     /// Column index of the identity ("logical") column of this row: the slack
     /// column for `≤` rows, the artificial column for `≥` / `=` rows. Used to
@@ -21,8 +27,42 @@ struct RowInfo {
     active: bool,
 }
 
-/// Dense simplex tableau.
-struct Tableau {
+/// Reusable buffers of the simplex solver: the dense tableau, the
+/// reduced-cost row, the pivot-row copy, the phase cost vector and the
+/// per-row basis bookkeeping.
+///
+/// Solving through one workspace ([`LpProblem::solve_with`]) returns
+/// exactly the solution a fresh [`LpProblem::solve`] returns — same pivots,
+/// same floating-point operations, same bits — whatever the workspace
+/// solved before, including a solve that stopped with an error. Buffers
+/// grow to the largest problem seen and are freed when the workspace is
+/// dropped, so a caller scopes one workspace to one sweep of LPs.
+#[derive(Debug, Default)]
+pub struct SimplexWorkspace {
+    /// Row-major `m × (cols + 1)` tableau; the last entry of each row is the
+    /// right-hand side.
+    a: Vec<f64>,
+    /// Reduced-cost row of length `cols + 1`.
+    obj: Vec<f64>,
+    /// Copy of the normalized pivot row, length `cols + 1`.
+    pivot_row: Vec<f64>,
+    /// Cost vector of the current phase, length `cols`.
+    cost: Vec<f64>,
+    /// Basic variable (column index) of each row.
+    basis: Vec<usize>,
+    /// Per-row normalization info.
+    rows: Vec<RowInfo>,
+}
+
+impl SimplexWorkspace {
+    /// An empty workspace; its buffers are sized by the first solve.
+    pub fn new() -> SimplexWorkspace {
+        SimplexWorkspace::default()
+    }
+}
+
+/// Dense simplex tableau over a workspace's buffers.
+struct Tableau<'w> {
     /// Number of rows (constraints).
     m: usize,
     /// Total number of columns excluding the RHS.
@@ -33,17 +73,19 @@ struct Tableau {
     art_start: usize,
     /// Row-major matrix of size `m x (cols + 1)`; the last entry of each row
     /// is the right-hand side.
-    a: Vec<f64>,
+    a: &'w mut [f64],
     /// Reduced-cost row of size `cols + 1` (last entry is the negated
     /// objective value of the current basis).
-    obj: Vec<f64>,
+    obj: &'w mut [f64],
+    /// Scratch copy of the pivot row, size `cols + 1`.
+    pivot_row: &'w mut [f64],
     /// Basic variable (column index) of each row.
-    basis: Vec<usize>,
+    basis: &'w mut [usize],
     /// Per-row normalization info.
-    rows: Vec<RowInfo>,
+    rows: &'w mut [RowInfo],
 }
 
-impl Tableau {
+impl Tableau<'_> {
     #[inline]
     fn at(&self, r: usize, c: usize) -> f64 {
         self.a[r * (self.cols + 1) + c]
@@ -64,33 +106,34 @@ impl Tableau {
 
         // Normalize the pivot row.
         let inv = 1.0 / piv;
-        for j in 0..w {
-            self.a[pr_start + j] *= inv;
+        for x in &mut self.a[pr_start..pr_start + w] {
+            *x *= inv;
         }
         self.a[pr_start + pivot_col] = 1.0;
 
         // Eliminate the pivot column from every other row.
         // Split borrows by copying the pivot row once; the copy is reused for
         // the objective row as well.
-        let pivot_row_copy: Vec<f64> = self.a[pr_start..pr_start + w].to_vec();
+        self.pivot_row
+            .copy_from_slice(&self.a[pr_start..pr_start + w]);
         for r in 0..self.m {
             if r == pivot_row {
                 continue;
             }
-            let start = r * w;
-            let factor = self.a[start + pivot_col];
+            let row = &mut self.a[r * w..(r + 1) * w];
+            let factor = row[pivot_col];
             if factor.abs() <= EPS {
-                self.a[start + pivot_col] = 0.0;
+                row[pivot_col] = 0.0;
                 continue;
             }
-            for (j, &pv) in pivot_row_copy.iter().enumerate() {
-                self.a[start + j] -= factor * pv;
+            for (x, &pv) in row.iter_mut().zip(self.pivot_row.iter()) {
+                *x -= factor * pv;
             }
-            self.a[start + pivot_col] = 0.0;
+            row[pivot_col] = 0.0;
         }
         let factor = self.obj[pivot_col];
         if factor.abs() > EPS {
-            for (o, &pv) in self.obj.iter_mut().zip(&pivot_row_copy) {
+            for (o, &pv) in self.obj.iter_mut().zip(self.pivot_row.iter()) {
                 *o -= factor * pv;
             }
         }
@@ -104,7 +147,7 @@ impl Tableau {
     /// treated as zero).
     fn rebuild_objective(&mut self, c: &[f64]) {
         let w = self.cols + 1;
-        self.obj = vec![0.0; w];
+        self.obj.fill(0.0);
         // obj = -c, then add c_B * row_i for every basic row.
         for (j, &cj) in c.iter().enumerate() {
             self.obj[j] = -cj;
@@ -119,9 +162,8 @@ impl Tableau {
             if cb == 0.0 {
                 continue;
             }
-            let start = r * w;
-            for j in 0..w {
-                self.obj[j] += cb * self.a[start + j];
+            for (o, &x) in self.obj.iter_mut().zip(&self.a[r * w..(r + 1) * w]) {
+                *o += cb * x;
             }
         }
         // Reduced costs of basic columns are exactly zero.
@@ -181,8 +223,22 @@ impl Tableau {
     }
 }
 
-/// Builds the initial tableau from a validated problem.
-fn build_tableau(p: &LpProblem) -> Tableau {
+/// Resets `buf` to `len` copies of `value`, keeping its allocation.
+fn refill<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
+    buf.clear();
+    buf.resize(len, value);
+}
+
+/// Builds the initial tableau from a validated problem in a workspace's
+/// buffers, overwriting whatever an earlier solve left there.
+fn build_tableau<'w>(
+    p: &LpProblem,
+    a: &'w mut Vec<f64>,
+    obj: &'w mut Vec<f64>,
+    pivot_row: &'w mut Vec<f64>,
+    basis: &'w mut Vec<usize>,
+    rows: &'w mut Vec<RowInfo>,
+) -> Tableau<'w> {
     let m = p.num_constraints();
     let n = p.num_vars();
 
@@ -207,9 +263,11 @@ fn build_tableau(p: &LpProblem) -> Tableau {
     let cols = n + n_slack + n_art;
     let w = cols + 1;
 
-    let mut a = vec![0.0; m * w];
-    let mut basis = vec![0usize; m];
-    let mut rows = Vec::with_capacity(m);
+    refill(a, m * w, 0.0);
+    refill(obj, w, 0.0);
+    refill(pivot_row, w, 0.0);
+    refill(basis, m, 0);
+    rows.clear();
 
     let mut next_slack = slack_start;
     let mut next_art = art_start;
@@ -262,7 +320,8 @@ fn build_tableau(p: &LpProblem) -> Tableau {
         n_struct: n,
         art_start,
         a,
-        obj: vec![0.0; w],
+        obj,
+        pivot_row,
         basis,
         rows,
     }
@@ -304,20 +363,28 @@ fn iterate(t: &mut Tableau, limit: usize, max_iters: usize) -> Result<usize, LpE
     }
 }
 
-/// Solves `p` with the two-phase simplex method.
-pub fn solve(p: &LpProblem) -> Result<LpSolution, LpError> {
-    let mut t = build_tableau(p);
+/// Solves `p` with the two-phase simplex method, in `ws`'s buffers.
+pub fn solve(p: &LpProblem, ws: &mut SimplexWorkspace) -> Result<LpSolution, LpError> {
+    let SimplexWorkspace {
+        a,
+        obj,
+        pivot_row,
+        cost,
+        basis,
+        rows,
+    } = ws;
+    let mut t = build_tableau(p, a, obj, pivot_row, basis, rows);
     let max_iters = p.max_iterations();
     let mut total_iters = 0usize;
 
     // ---- Phase 1: drive artificial variables to zero. ------------------
     let has_artificials = t.art_start < t.cols;
     if has_artificials {
-        let mut c1 = vec![0.0; t.cols];
-        for cj in c1.iter_mut().skip(t.art_start) {
+        refill(cost, t.cols, 0.0);
+        for cj in cost.iter_mut().skip(t.art_start) {
             *cj = -1.0; // maximize −Σ artificials
         }
-        t.rebuild_objective(&c1);
+        t.rebuild_objective(cost);
         let all_cols = t.cols;
         total_iters += iterate(&mut t, all_cols, max_iters)?;
 
@@ -358,16 +425,17 @@ pub fn solve(p: &LpProblem) -> Result<LpSolution, LpError> {
         Sense::Maximize => 1.0,
         Sense::Minimize => -1.0,
     };
-    let mut c2 = vec![0.0; t.cols];
-    for (j, &cj) in p.objective().iter().enumerate() {
-        c2[j] = cj * flip;
+    refill(cost, t.cols, 0.0);
+    for (c, &cj) in cost.iter_mut().zip(p.objective()) {
+        *c = cj * flip;
     }
-    t.rebuild_objective(&c2);
+    t.rebuild_objective(cost);
     // Artificial columns must never re-enter the basis.
     let struct_and_slack = t.art_start;
     total_iters += iterate(&mut t, struct_and_slack, max_iters)?;
 
     // ---- Extract primal solution. ---------------------------------------
+    // alloc: the primal vector is the caller's result, one per solve.
     let mut primal = vec![0.0; t.n_struct];
     for r in 0..t.m {
         if !t.rows[r].active {
@@ -389,6 +457,7 @@ pub fn solve(p: &LpProblem) -> Result<LpSolution, LpError> {
     // For the internal maximization problem, the dual of row i is the
     // reduced cost of its logical column. Negated rows and minimization
     // problems flip the sign back to the user's convention.
+    // alloc: the dual vector is the caller's result, one per solve.
     let mut dual = vec![0.0; t.m];
     for (r, row) in t.rows.iter().enumerate() {
         if !row.active {

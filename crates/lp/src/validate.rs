@@ -4,7 +4,7 @@
 //! feasible and that primal/dual objectives agree — used heavily by the test
 //! suites of the pricing algorithms to guard against silent solver drift.
 
-use crate::{ConstraintOp, LpProblem, LpSolution, CHECK_EPS};
+use crate::{ConstraintOp, LpError, LpProblem, LpSolution, CHECK_EPS};
 
 /// Returns the largest constraint violation of `x` for problem `p`
 /// (0.0 when `x` is feasible). Non-negativity violations are included.
@@ -71,6 +71,31 @@ pub fn check_strong_duality(p: &LpProblem, sol: &LpSolution) -> Result<(), Strin
         ));
     }
     Ok(())
+}
+
+/// Checks that two solver outcomes are bit-identical: the same error, or
+/// the same objective, primal, dual and pivot count down to the last bit.
+/// The oracle for buffer reuse ([`LpProblem::solve_with`] against a fresh
+/// [`LpProblem::solve`]).
+pub fn check_same_bits(
+    a: &Result<LpSolution, LpError>,
+    b: &Result<LpSolution, LpError>,
+) -> Result<(), String> {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    match (a, b) {
+        (Ok(x), Ok(y)) => {
+            if x.objective.to_bits() != y.objective.to_bits()
+                || bits(&x.primal) != bits(&y.primal)
+                || bits(&x.dual) != bits(&y.dual)
+                || x.iterations != y.iterations
+            {
+                return Err(format!("solutions differ: {x:?} vs {y:?}"));
+            }
+            Ok(())
+        }
+        (Err(x), Err(y)) if x == y => Ok(()),
+        _ => Err(format!("outcomes differ: {a:?} vs {b:?}")),
+    }
 }
 
 #[cfg(test)]

@@ -7,9 +7,15 @@
 //! with a positive coefficient, so the solver must return `Optimal`. We then
 //! check feasibility, optimality versus random feasible points, and strong
 //! duality.
+//!
+//! The same LPs, mixed with `≥`/`=` rows, unbounded directions and starved
+//! pivot budgets, also drive the workspace-reuse oracle: a sequence of them
+//! solved through one [`SimplexWorkspace`] must match fresh solves bit for
+//! bit. That block follows `ProptestConfig::default()`, so CI elevates it
+//! with `PROPTEST_CASES=256`.
 
 use proptest::prelude::*;
-use qp_lp::{validate, ConstraintOp, LpProblem, Sense};
+use qp_lp::{validate, ConstraintOp, LpProblem, Sense, SimplexWorkspace};
 
 /// A small random packing-style LP together with coefficient matrices so the
 /// test can re-derive feasibility independently of the solver.
@@ -48,6 +54,84 @@ fn build(lp: &PackingLp) -> LpProblem {
         p.add_constraint(vec![(j, 1.0)], ConstraintOp::Le, 50.0);
     }
     p
+}
+
+/// How [`build_mixed`] perturbs a packing LP.
+#[derive(Debug, Clone, Copy)]
+enum Twist {
+    /// The packing LP as is (phase 2 only).
+    Plain,
+    /// Plus `Σ x ≥ rhs` (phase 1; infeasible when the packing rows forbid it).
+    Cover(f64),
+    /// Plus `x_0 + x_1 = rhs` (phase 1 with an artificial that must leave).
+    Pin(f64),
+    /// Plus a variable in the objective but in no row (unbounded).
+    Unbounded,
+    /// With a pivot budget of 1–3 (may stop with `IterationLimit`).
+    Starved(usize),
+}
+
+fn twist_strategy() -> impl Strategy<Value = Twist> {
+    (0usize..5, 0.5f64..30.0).prop_map(|(kind, x)| match kind {
+        0 => Twist::Plain,
+        1 => Twist::Cover(x),
+        2 => Twist::Pin(x),
+        3 => Twist::Unbounded,
+        _ => Twist::Starved(1 + x as usize % 3),
+    })
+}
+
+fn build_mixed(lp: &PackingLp, twist: Twist) -> LpProblem {
+    let n = lp.objective.len();
+    let mut p = match twist {
+        Twist::Unbounded => {
+            let mut p = LpProblem::new(Sense::Maximize, n + 1);
+            for (j, &c) in lp.objective.iter().enumerate() {
+                p.set_objective(j, c);
+            }
+            p.set_objective(n, 1.0);
+            for (coeffs, rhs) in &lp.rows {
+                p.add_constraint(
+                    coeffs.iter().copied().enumerate().collect(),
+                    ConstraintOp::Le,
+                    *rhs,
+                );
+            }
+            return p;
+        }
+        _ => build(lp),
+    };
+    match twist {
+        Twist::Cover(rhs) => {
+            p.add_constraint((0..n).map(|j| (j, 1.0)).collect(), ConstraintOp::Ge, rhs);
+        }
+        Twist::Pin(rhs) => {
+            p.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, rhs);
+        }
+        Twist::Starved(budget) => p.set_max_iterations(budget),
+        Twist::Plain | Twist::Unbounded => {}
+    }
+    p
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    #[test]
+    fn one_workspace_matches_fresh_solves_bit_for_bit(
+        seq in proptest::collection::vec((packing_lp_strategy(), twist_strategy()), 1..10),
+    ) {
+        let mut ws = SimplexWorkspace::new();
+        for (lp, twist) in &seq {
+            let p = build_mixed(lp, *twist);
+            let fresh = p.solve();
+            let reused = p.solve_with(&mut ws);
+            prop_assert!(
+                validate::check_same_bits(&fresh, &reused).is_ok(),
+                "{:?}: {:?}", twist, validate::check_same_bits(&fresh, &reused)
+            );
+        }
+    }
 }
 
 proptest! {

@@ -1,8 +1,10 @@
 //! Simplex edge cases: degenerate and redundant systems must terminate at
 //! the optimum, and pathological problems must come back as the right
-//! [`LpError`] variant — never a hang, never a panic.
+//! [`LpError`] variant — never a hang, never a panic. One
+//! [`SimplexWorkspace`] reused across all of these shapes must give the
+//! answers fresh solves give, bit for bit.
 
-use qp_lp::{ConstraintOp, LpError, LpProblem, Sense};
+use qp_lp::{validate, ConstraintOp, LpError, LpProblem, Sense, SimplexWorkspace};
 
 fn approx(a: f64, b: f64) -> bool {
     (a - b).abs() < 1e-6
@@ -248,4 +250,139 @@ fn zero_variable_problems_are_fine() {
     let mut lp = LpProblem::new(Sense::Maximize, 0);
     lp.add_constraint(vec![], ConstraintOp::Ge, 1.0);
     assert_eq!(lp.solve().unwrap_err(), LpError::Infeasible);
+}
+
+// ---- Workspace reuse ---------------------------------------------------
+
+/// A dense `rows × vars` LP with pseudo-random coefficients (a fixed LCG,
+/// so the problem is the same on every run). `op` is the sense of every
+/// row; `≤` rows keep the origin feasible, `≥` rows need phase 1.
+fn dense_lp(sense: Sense, vars: usize, rows: usize, op: ConstraintOp, seed: u64) -> LpProblem {
+    let mut state = seed;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut lp = LpProblem::new(sense, vars);
+    for j in 0..vars {
+        lp.set_objective(j, 1.0 + 9.0 * next());
+    }
+    for _ in 0..rows {
+        let coeffs = (0..vars).map(|j| (j, 0.1 + 4.0 * next())).collect();
+        lp.add_constraint(coeffs, op, 5.0 + 20.0 * next());
+    }
+    lp
+}
+
+/// Every shape the solver distinguishes, in an order that grows and
+/// shrinks the tableau and leaves the buffers mid-solve (infeasible in
+/// phase 1, unbounded in phase 2, out of pivots) before the next problem.
+fn mixed_sequence() -> Vec<(&'static str, LpProblem)> {
+    let mut small = LpProblem::new(Sense::Maximize, 2);
+    small.set_objective(0, 3.0);
+    small.set_objective(1, 5.0);
+    small.add_constraint(vec![(0, 1.0)], ConstraintOp::Le, 4.0);
+    small.add_constraint(vec![(1, 2.0)], ConstraintOp::Le, 12.0);
+    small.add_constraint(vec![(0, 3.0), (1, 2.0)], ConstraintOp::Le, 18.0);
+
+    let mut infeasible = LpProblem::new(Sense::Maximize, 3);
+    infeasible.set_objective(0, 1.0);
+    infeasible.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Le, 2.0);
+    infeasible.add_constraint(vec![(0, 1.0), (1, 1.0), (2, 0.0)], ConstraintOp::Ge, 5.0);
+
+    let mut unbounded = LpProblem::new(Sense::Maximize, 2);
+    unbounded.set_objective(0, 1.0);
+    unbounded.set_objective(1, 1.0);
+    unbounded.add_constraint(vec![(0, 1.0), (1, -1.0)], ConstraintOp::Le, 1.0);
+
+    let mut strangled = dense_lp(Sense::Maximize, 6, 5, ConstraintOp::Le, 11);
+    strangled.set_max_iterations(2);
+
+    let mut equalities = LpProblem::new(Sense::Minimize, 6);
+    let costs = [2.0, 3.0, 1.0, 5.0, 4.0, 8.0];
+    for (j, &c) in costs.iter().enumerate() {
+        equalities.set_objective(j, c);
+    }
+    for (i, supply) in [20.0, 30.0].into_iter().enumerate() {
+        let row = (0..3).map(|j| (i * 3 + j, 1.0)).collect();
+        equalities.add_constraint(row, ConstraintOp::Eq, supply);
+    }
+    for (j, demand) in [10.0, 25.0, 15.0].into_iter().enumerate() {
+        let col = (0..2).map(|i| (i * 3 + j, 1.0)).collect();
+        equalities.add_constraint(col, ConstraintOp::Eq, demand);
+    }
+
+    let mut redundant = LpProblem::new(Sense::Maximize, 2);
+    redundant.set_objective(0, 1.0);
+    redundant.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 3.0);
+    redundant.add_constraint(vec![(0, 2.0), (1, 2.0)], ConstraintOp::Eq, 6.0);
+
+    let mut negative_rhs = LpProblem::new(Sense::Maximize, 1);
+    negative_rhs.set_objective(0, -1.0);
+    negative_rhs.add_constraint(vec![(0, -1.0)], ConstraintOp::Le, -2.0);
+
+    let mut phase_one_limit = LpProblem::new(Sense::Maximize, 2);
+    phase_one_limit.set_objective(0, 1.0);
+    phase_one_limit.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 3.0);
+    phase_one_limit.add_constraint(vec![(0, 1.0), (1, -1.0)], ConstraintOp::Eq, 1.0);
+    phase_one_limit.set_max_iterations(1);
+
+    vec![
+        ("small packing", small.clone()),
+        (
+            "large packing",
+            dense_lp(Sense::Maximize, 40, 30, ConstraintOp::Le, 1),
+        ),
+        ("infeasible", infeasible),
+        ("small packing again", small),
+        (
+            "large covering",
+            dense_lp(Sense::Minimize, 30, 40, ConstraintOp::Ge, 2),
+        ),
+        ("unbounded", unbounded),
+        ("transportation equalities", equalities),
+        ("iteration limit", strangled),
+        ("redundant equalities", redundant),
+        (
+            "larger packing",
+            dense_lp(Sense::Maximize, 60, 45, ConstraintOp::Le, 3),
+        ),
+        ("phase-1 iteration limit", phase_one_limit),
+        ("negative rhs", negative_rhs),
+        ("no constraints", LpProblem::new(Sense::Maximize, 3)),
+        (
+            "medium covering",
+            dense_lp(Sense::Minimize, 12, 9, ConstraintOp::Ge, 4),
+        ),
+    ]
+}
+
+#[test]
+fn one_workspace_solves_a_mixed_sequence_bit_identically() {
+    let problems = mixed_sequence();
+    let mut ws = SimplexWorkspace::new();
+    let mut outcomes = Vec::new();
+    // Forward, then backward through the same workspace: every problem is
+    // solved once after a larger tableau and once after a smaller one.
+    for (name, lp) in problems.iter().chain(problems.iter().rev()) {
+        let fresh = lp.solve();
+        let reused = lp.solve_with(&mut ws);
+        if let Err(msg) = validate::check_same_bits(&fresh, &reused) {
+            panic!("{name}: {msg}");
+        }
+        outcomes.push(fresh.map(|_| ()).map_err(|e| std::mem::discriminant(&e)));
+    }
+    // The sequence really covers every outcome the solver can report.
+    for expected in [
+        Err(std::mem::discriminant(&LpError::Infeasible)),
+        Err(std::mem::discriminant(&LpError::Unbounded)),
+        Err(std::mem::discriminant(&LpError::IterationLimit {
+            iterations: 0,
+        })),
+        Ok(()),
+    ] {
+        assert!(outcomes.contains(&expected), "{expected:?} never occurred");
+    }
 }

@@ -22,9 +22,14 @@
 //! count is the number of bundles. Sweeping `k` over a `(1+ε)`-geometric grid
 //! from 1 to the maximum degree `B` and keeping the best revenue yields the
 //! `O((1+ε) log B)` guarantee of the paper.
+//!
+//! The capacity LPs share one [`SimplexWorkspace`] for the whole sweep, and
+//! the outcome is memoized on the hypergraph per config (see the
+//! [`Hypergraph`] module docs), so a repeated call — XOS's — solves nothing.
 
-use qp_lp::{ConstraintOp, LpProblem, Sense};
+use qp_lp::{ConstraintOp, LpProblem, Sense, SimplexWorkspace};
 
+use crate::hypergraph::LpPriceMemo;
 use crate::{revenue, Hypergraph, Pricing, PricingOutcome};
 
 /// Tuning knobs for CIP.
@@ -49,8 +54,15 @@ impl Default for CipConfig {
 }
 
 /// Computes an item pricing via the capacity-constrained primal–dual scheme.
+/// Memoized on `h` per config.
 pub fn capacity_item_price(h: &Hypergraph, config: &CipConfig) -> PricingOutcome {
     assert!(config.epsilon > 0.0, "epsilon must be positive");
+    let key = (config.epsilon.to_bits(), config.max_lp_iterations);
+    LpPriceMemo::get_or_solve(&h.lp_prices().cip, key, || solve_cip(h, config))
+}
+
+/// The CIP capacity sweep behind [`capacity_item_price`].
+fn solve_cip(h: &Hypergraph, config: &CipConfig) -> PricingOutcome {
     let n = h.num_items();
     let mut best_weights = vec![0.0; n];
     let mut best_rev = 0.0;
@@ -67,8 +79,9 @@ pub fn capacity_item_price(h: &Hypergraph, config: &CipConfig) -> PricingOutcome
     }
     capacities.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
 
+    let mut ws = SimplexWorkspace::new();
     for &cap in &capacities {
-        if let Some(weights) = solve_capacity_dual(h, cap, config.max_lp_iterations) {
+        if let Some(weights) = solve_capacity_dual(h, cap, config.max_lp_iterations, &mut ws) {
             let rev = revenue::item_pricing_revenue(h, &weights);
             if rev > best_rev {
                 best_rev = rev;
@@ -89,11 +102,13 @@ pub fn capacity_item_price(h: &Hypergraph, config: &CipConfig) -> PricingOutcome
 }
 
 /// Solves the dual of the capacity-`k` welfare LP and returns the item-price
-/// vector `y` (full length, zeros for items outside every bundle).
+/// vector `y` (full length, zeros for items outside every bundle), solving
+/// in the sweep's workspace `ws`.
 pub(crate) fn solve_capacity_dual(
     h: &Hypergraph,
     capacity: f64,
     max_iterations: usize,
+    ws: &mut SimplexWorkspace,
 ) -> Option<Vec<f64>> {
     let active = h.active_items();
     if h.num_edges() == 0 {
@@ -125,7 +140,7 @@ pub(crate) fn solve_capacity_dual(
         lp.add_constraint(coeffs, ConstraintOp::Ge, e.valuation);
     }
 
-    let sol = lp.solve().ok()?;
+    let sol = lp.solve_with(ws).ok()?;
     let mut weights = vec![0.0; h.num_items()];
     for (v, &j) in active.iter().enumerate() {
         weights[j] = sol.primal[v].max(0.0);
@@ -169,7 +184,7 @@ mod tests {
         // z_e = 0, the item prices cover the valuation. We simply check the
         // returned prices are non-negative and finite.
         let h = test_support::small();
-        let w = solve_capacity_dual(&h, 2.0, 100_000).unwrap();
+        let w = solve_capacity_dual(&h, 2.0, 100_000, &mut SimplexWorkspace::new()).unwrap();
         assert_eq!(w.len(), h.num_items());
         assert!(w.iter().all(|&x| x.is_finite() && x >= 0.0));
     }

@@ -13,9 +13,14 @@
 //! sell. The uniform item pricing with rate `v_e / |e|` is always feasible for
 //! `LP(e)`, so LPIP weakly improves on UIP for each threshold; the best
 //! outcome across thresholds is returned. Worst-case guarantee `O(log m)`.
+//!
+//! The threshold LPs share one [`SimplexWorkspace`] for the whole sweep, and
+//! the outcome is memoized on the hypergraph per config (see the
+//! [`Hypergraph`] module docs), so a repeated call — XOS's — solves nothing.
 
-use qp_lp::{ConstraintOp, LpProblem, Sense};
+use qp_lp::{ConstraintOp, LpProblem, Sense, SimplexWorkspace};
 
+use crate::hypergraph::LpPriceMemo;
 use crate::{revenue, Hypergraph, Pricing, PricingOutcome};
 
 /// Tuning knobs for LPIP.
@@ -41,8 +46,14 @@ impl Default for LpipConfig {
 }
 
 /// Computes a non-uniform item pricing by solving one LP per candidate
-/// threshold and keeping the best.
+/// threshold and keeping the best. Memoized on `h` per config.
 pub fn lp_item_price(h: &Hypergraph, config: &LpipConfig) -> PricingOutcome {
+    let key = (config.max_lps, config.max_lp_iterations);
+    LpPriceMemo::get_or_solve(&h.lp_prices().lpip, key, || solve_lpip(h, config))
+}
+
+/// The LPIP threshold sweep behind [`lp_item_price`].
+fn solve_lpip(h: &Hypergraph, config: &LpipConfig) -> PricingOutcome {
     let n = h.num_items();
     let mut best_weights = vec![0.0; n];
     let mut best_rev = 0.0;
@@ -63,8 +74,11 @@ pub fn lp_item_price(h: &Hypergraph, config: &LpipConfig) -> PricingOutcome {
         _ => thresholds,
     };
 
+    let mut ws = SimplexWorkspace::new();
     for &threshold in &thresholds {
-        if let Some((weights, _)) = solve_threshold_lp(h, threshold, config.max_lp_iterations) {
+        if let Some((weights, _)) =
+            solve_threshold_lp(h, threshold, config.max_lp_iterations, &mut ws)
+        {
             let rev = revenue::item_pricing_revenue(h, &weights);
             if rev > best_rev {
                 best_rev = rev;
@@ -85,11 +99,13 @@ pub fn lp_item_price(h: &Hypergraph, config: &LpipConfig) -> PricingOutcome {
 }
 
 /// Solves `LP(e)` for the threshold valuation `threshold` and returns the
-/// full-length weight vector together with the LP objective.
+/// full-length weight vector together with the LP objective, solving in the
+/// sweep's workspace `ws`.
 pub(crate) fn solve_threshold_lp(
     h: &Hypergraph,
     threshold: f64,
     max_iterations: usize,
+    ws: &mut SimplexWorkspace,
 ) -> Option<(Vec<f64>, f64)> {
     let forced: Vec<usize> = h
         .edges()
@@ -137,7 +153,7 @@ pub(crate) fn solve_threshold_lp(
         lp.add_constraint(coeffs, ConstraintOp::Le, e.valuation);
     }
 
-    let sol = lp.solve().ok()?;
+    let sol = lp.solve_with(ws).ok()?;
     let mut weights = vec![0.0; h.num_items()];
     for (var, &item) in item_of_var.iter().enumerate() {
         weights[item] = sol.primal[var].max(0.0);
@@ -191,7 +207,8 @@ mod tests {
     #[test]
     fn threshold_lp_objective_is_revenue_of_forced_edges() {
         let h = test_support::unique_items();
-        let (weights, obj) = solve_threshold_lp(&h, 0.0, 100_000).unwrap();
+        let (weights, obj) =
+            solve_threshold_lp(&h, 0.0, 100_000, &mut SimplexWorkspace::new()).unwrap();
         let rev = revenue::item_pricing_revenue(&h, &weights);
         assert!((obj - rev).abs() < 1e-6);
     }

@@ -5,11 +5,17 @@
 //! function is XOS (fractionally subadditive), hence still arbitrage-free,
 //! but — as the paper observes — taking the max can overshoot valuations and
 //! lose sales, so its revenue is *not* the max of the component revenues.
+//!
+//! [`xos_pricing`] composes the LPIP and CIP prices memoized on the
+//! hypergraph (see the [`Hypergraph`] module docs): after LPIP and CIP have
+//! run with the same configs, XOS solves no LP at all, and run first it
+//! fills the memo the later LPIP and CIP calls hit.
 
 use crate::algorithms::{capacity_item_price, lp_item_price, CipConfig, LpipConfig};
 use crate::{revenue, Hypergraph, Pricing, PricingOutcome};
 
-/// Builds the XOS pricing from the LPIP and CIP item-price vectors.
+/// Builds the XOS pricing from the LPIP and CIP item-price vectors, both
+/// read from (or solved into) `h`'s LP price memo.
 pub fn xos_pricing(
     h: &Hypergraph,
     lpip_config: &LpipConfig,

@@ -34,6 +34,29 @@
 //! * [`Hypergraph::restrict_items`] returns a fresh hypergraph with an empty
 //!   cache.
 //!
+//! ## The LP price memo
+//!
+//! LPIP and CIP solve dozens to hundreds of LPs per run, and XOS is the max
+//! of their two price vectors. The hypergraph therefore memoizes one LPIP
+//! and one CIP [`PricingOutcome`] next to the index, each keyed by its full
+//! config compared bit for bit (`max_lps`, `max_lp_iterations`,
+//! `epsilon.to_bits()`). [`crate::algorithms::lp_item_price`] and
+//! [`crate::algorithms::capacity_item_price`] read and fill it, so XOS
+//! composes two memo hits instead of solving every LP a second time.
+//!
+//! **Memo rule:** an outcome depends on the structure *and* the valuations,
+//! so **every** `&mut` path — [`Hypergraph::add_edge_set`],
+//! [`Hypergraph::remove_edge`], [`Hypergraph::revalue_edge`],
+//! [`Hypergraph::set_valuations`], and through them
+//! [`Hypergraph::apply_delta`] — empties the memo, valuation-only changes
+//! included (the index survives those; the memo does not). The first config
+//! solved for an algorithm after a mutation owns its slot; a call with a
+//! different config solves afresh and is not memoized. `Clone` copies the
+//! edges and the item index but **not** the memo: a clone starts empty and
+//! solves on first use. Clones are made to be mutated (a valuation model,
+//! a benchmark iteration), and a clone that never serves an answer it did
+//! not solve keeps every timed run on a clone a real solve.
+//!
 //! ## Deltas
 //!
 //! [`HypergraphDelta`] batches `add_edge` / `remove_edge` / `revalue_edge`
@@ -50,6 +73,8 @@
 use std::sync::OnceLock;
 
 use qp_core::ItemSet;
+
+use crate::PricingOutcome;
 
 /// A hyperedge: a bundle of items (support-database indices) together with
 /// the buyer's valuation for the corresponding query vector.
@@ -76,13 +101,57 @@ impl Edge {
 
 /// The hypergraph `H = (V, E)` of the paper: vertices are the `n` support
 /// databases, hyperedges are buyer bundles (conflict sets) with valuations.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Hypergraph {
     num_items: usize,
     edges: Vec<Edge>,
     /// Lazily-built aggregate index; see the module docs for the
     /// maintenance rules (structural mutations patch it in place).
     index: OnceLock<ItemIndex>,
+    /// Memoized LPIP / CIP outcomes; emptied by every mutation (see the
+    /// module docs).
+    lp_prices: LpPriceMemo,
+}
+
+/// Copies the edges and the built item index; the LP price memo starts
+/// empty (see the module docs).
+impl Clone for Hypergraph {
+    fn clone(&self) -> Self {
+        Hypergraph {
+            num_items: self.num_items,
+            edges: self.edges.clone(),
+            index: self.index.clone(),
+            lp_prices: LpPriceMemo::default(),
+        }
+    }
+}
+
+/// One memoized outcome per LP-based algorithm, each tagged with the bit
+/// pattern of the config that produced it.
+#[derive(Debug, Default)]
+pub(crate) struct LpPriceMemo {
+    /// LPIP, keyed by `(max_lps, max_lp_iterations)`.
+    pub(crate) lpip: OnceLock<((Option<usize>, usize), PricingOutcome)>,
+    /// CIP, keyed by `(epsilon.to_bits(), max_lp_iterations)`.
+    pub(crate) cip: OnceLock<((u64, usize), PricingOutcome)>,
+}
+
+impl LpPriceMemo {
+    /// The outcome memoized in `slot` under `key`, solving it with `solve`
+    /// on a miss. An empty slot is filled; a slot owned by another key is
+    /// left alone and the answer is solved afresh.
+    pub(crate) fn get_or_solve<K: Copy + PartialEq>(
+        slot: &OnceLock<(K, PricingOutcome)>,
+        key: K,
+        solve: impl Fn() -> PricingOutcome,
+    ) -> PricingOutcome {
+        let (memo_key, outcome) = slot.get_or_init(|| (key, solve()));
+        if *memo_key == key {
+            outcome.clone()
+        } else {
+            solve()
+        }
+    }
 }
 
 /// Cached aggregate item queries over a hypergraph: per-item degrees, the
@@ -443,6 +512,7 @@ impl Hypergraph {
             num_items,
             edges: Vec::new(),
             index: OnceLock::new(),
+            lp_prices: LpPriceMemo::default(),
         }
     }
 
@@ -457,12 +527,14 @@ impl Hypergraph {
     /// the conflict engines — no intermediate `Vec`).
     ///
     /// A built [`ItemIndex`] is patched in place in O(|e|); an unbuilt one
-    /// stays unbuilt (see the module docs for the maintenance rules).
+    /// stays unbuilt, and the LP price memo is emptied (see the module docs
+    /// for the maintenance rules).
     pub fn add_edge_set(&mut self, items: ItemSet, valuation: f64) -> usize {
         if let Some(max) = items.max_item() {
             self.num_items = self.num_items.max(max + 1);
         }
         assert!(valuation >= 0.0, "valuations must be non-negative");
+        self.lp_prices = LpPriceMemo::default();
         self.edges.push(Edge { items, valuation });
         let id = self.edges.len() - 1;
         if let Some(index) = self.index.get_mut() {
@@ -494,6 +566,7 @@ impl Hypergraph {
         let last = self.edges.len() - 1;
         let moved = (idx != last).then_some((last, idx));
         let removed = self.edges.swap_remove(idx);
+        self.lp_prices = LpPriceMemo::default();
         if let Some(index) = self.index.get_mut() {
             index.note_remove(idx, &removed, moved.map(|(from, _)| from), &self.edges);
         }
@@ -502,13 +575,14 @@ impl Hypergraph {
 
     /// Replaces the valuation of the edge at `idx`, returning the old value.
     /// Valuations are not part of the [`ItemIndex`], so the cached index
-    /// survives untouched.
+    /// survives untouched; the LP price memo is emptied.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range or `valuation` is negative.
     pub fn revalue_edge(&mut self, idx: usize, valuation: f64) -> f64 {
         assert!(valuation >= 0.0, "valuations must be non-negative");
+        self.lp_prices = LpPriceMemo::default();
         std::mem::replace(&mut self.edges[idx].valuation, valuation)
     }
 
@@ -589,11 +663,17 @@ impl Hypergraph {
             .get_or_init(|| ItemIndex::build(self.num_items, &self.edges))
     }
 
+    /// The memoized LPIP / CIP outcomes (see the module docs).
+    pub(crate) fn lp_prices(&self) -> &LpPriceMemo {
+        &self.lp_prices
+    }
+
     /// Replaces every valuation using `f(edge index, edge) -> new valuation`.
     ///
     /// Valuations are not part of the [`ItemIndex`], so the cached index
-    /// survives this call.
+    /// survives this call; the LP price memo is emptied.
     pub fn set_valuations<F: FnMut(usize, &Edge) -> f64>(&mut self, mut f: F) {
+        self.lp_prices = LpPriceMemo::default();
         for i in 0..self.edges.len() {
             let v = f(i, &self.edges[i]);
             assert!(v >= 0.0, "valuations must be non-negative");
@@ -808,6 +888,60 @@ mod tests {
         h.remove_edge(0);
         assert_eq!(h.edges_with_unique_item(), vec![true]);
         assert_eq!(h.edge(0).valuation, 3.0);
+    }
+
+    /// How many LP outcomes (LPIP, CIP; at most one each) `h` memoizes.
+    fn memoized(h: &Hypergraph) -> usize {
+        let memo = &h.lp_prices;
+        usize::from(memo.lpip.get().is_some()) + usize::from(memo.cip.get().is_some())
+    }
+
+    #[test]
+    fn every_mutation_empties_the_lp_memo_and_clone_starts_empty() {
+        use crate::algorithms::{xos_pricing, CipConfig, LpipConfig};
+        let (lpip, cip) = (LpipConfig::default(), CipConfig::default());
+        let mut h = sample();
+        let fill = |h: &Hypergraph| {
+            xos_pricing(h, &lpip, &cip);
+            assert_eq!(memoized(h), 2, "XOS fills both slots");
+        };
+        type Mutation = (&'static str, fn(&mut Hypergraph));
+        let mutations: [Mutation; 5] = [
+            ("add_edge_set", |h| {
+                h.add_edge(vec![0, 4], 2.0);
+            }),
+            ("remove_edge", |h| {
+                h.remove_edge(0);
+            }),
+            ("revalue_edge", |h| {
+                h.revalue_edge(0, 8.0);
+            }),
+            ("set_valuations", |h| {
+                h.set_valuations(|_, e| e.valuation + 1.0)
+            }),
+            ("apply_delta", |h| {
+                let mut delta = HypergraphDelta::new();
+                delta.revalue_edge(0, 4.0);
+                h.apply_delta(delta);
+            }),
+        ];
+        for (name, mutate) in mutations {
+            fill(&h);
+            mutate(&mut h);
+            assert_eq!(memoized(&h), 0, "{name} must empty the memo");
+        }
+
+        fill(&h);
+        let mut copy = h.clone();
+        assert_eq!(memoized(&copy), 0, "a clone starts with an empty memo");
+        assert_eq!(memoized(&h), 2, "cloning leaves the original's memo");
+        fill(&copy);
+        copy.revalue_edge(0, 1.0);
+        assert_eq!(
+            memoized(&h),
+            2,
+            "mutating a clone leaves the original's memo"
+        );
     }
 
     #[test]

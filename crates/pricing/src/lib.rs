@@ -27,7 +27,11 @@
 //! | `LPIP` LP-based item pricing | O(log m) | [`algorithms::Lpip`] | [`algorithms::lp_item_price`] |
 //! | `CIP` capacity-constrained item pricing (Cheung–Swamy) | O((1+ε) log B) | [`algorithms::Cip`] | [`algorithms::capacity_item_price`] |
 //! | `Layering` (Algorithm 1) | O(B) | [`algorithms::Layering`] | [`algorithms::layering`] |
-//! | `XOS` max of LPIP and CIP | — | [`algorithms::Xos`] | [`algorithms::xos_pricing`] |
+//! | `XOS` max of the memoized LPIP and CIP prices | — | [`algorithms::Xos`] | [`algorithms::xos_pricing`] |
+//!
+//! LPIP and CIP memoize their outcome on the hypergraph per config, and
+//! every mutation empties that memo, so XOS composes the two price vectors
+//! without solving their LPs a second time (see the [`Hypergraph`] docs).
 //!
 //! Revenue upper bounds (Σ valuations and the subadditive LP bound of §6.1)
 //! live in [`bounds`]; the Ω(log m) lower-bound constructions of Lemmas 2–4
