@@ -14,13 +14,16 @@ use qp_core::ItemSet;
 use qp_pricing::algorithms::PricingPatch;
 
 use crate::protocol::{
-    read_frame, write_frame, ErrorCode, QuoteReply, Request, Response, ShardStats,
+    write_frame, ErrorCode, FrameReader, QuoteReply, Request, Response, ShardStats,
 };
 use crate::shard::SettleOutcome;
 
 /// One client connection to a [`crate::QuoteServer`].
 pub struct QuoteClient {
     stream: TcpStream,
+    /// Reused for every request frame.
+    out: Vec<u8>,
+    reader: FrameReader,
     /// Trace id stamped onto outgoing requests via the `TRACED` envelope;
     /// 0 means untraced and frames go out in their pre-trace byte layout.
     trace_id: u64,
@@ -34,6 +37,8 @@ impl QuoteClient {
         stream.set_nodelay(true)?;
         Ok(QuoteClient {
             stream,
+            out: Vec::new(),
+            reader: FrameReader::new(),
             trace_id: 0,
         })
     }
@@ -56,11 +61,16 @@ impl QuoteClient {
                 request: Box::new(request),
             }
         };
-        write_frame(&mut self.stream, &request.encode())?;
-        let payload = read_frame(&mut self.stream, None)?.ok_or_else(|| {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
+        write_frame(&mut self.stream, &mut self.out, |out| {
+            request.encode_into(out)
         })?;
-        Response::decode(&payload)
+        let payload = self
+            .reader
+            .read_frame(&mut self.stream, None)?
+            .ok_or_else(|| {
+                io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
+            })?;
+        Response::decode(payload)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 

@@ -13,6 +13,12 @@
 //! of that document. Requests and responses are symmetric enums with
 //! `encode`/`decode` pairs, and the round-trip property is pinned by the
 //! tests below.
+//!
+//! Frame IO costs one syscall per frame in the common case:
+//! [`write_frame`] encodes header and payload into the connection's
+//! reusable buffer and sends them with one `write_all`, and each
+//! connection reads through one [`FrameReader`], whose buffered `read`s
+//! usually return a whole frame.
 
 use parking_lot::atomic::{AtomicBool, Ordering};
 use std::fmt;
@@ -23,10 +29,11 @@ use qp_pricing::algorithms::PricingPatch;
 use qp_pricing::Pricing;
 use qp_telemetry::{Exemplar, HistogramSnapshot, MetricsSnapshot, SpanRecord, NUM_BUCKETS};
 
-/// Upper bound on a frame payload (16 MiB). A peer announcing more is
-/// answered with [`ErrorCode::Malformed`] and disconnected — it is either
-/// broken or hostile, and `Vec::with_capacity` on its say-so would be a
-/// memory-exhaustion gift.
+/// Upper bound on a frame payload (16 MiB). A frame header announcing more
+/// fails the read and the server drops the connection — the peer is either
+/// broken or hostile. Counts declared inside a payload are held to it too
+/// ([`WireError::Oversized`]), and nothing is ever sized on a peer's say-so
+/// alone: [`FrameReader`] grows only with bytes that have arrived.
 pub const MAX_FRAME: usize = 1 << 24;
 
 // Request opcodes.
@@ -247,81 +254,181 @@ pub enum Response {
 // Frame IO
 // ---------------------------------------------------------------------------
 
-/// Writes one frame: `u32` big-endian payload length, then the payload.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME);
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
-}
+/// Bytes a [`FrameReader`] asks the stream for at once, and the most it
+/// grows its buffer by before the bytes to fill it have arrived.
+const READ_CHUNK: usize = 8 * 1024;
 
-/// Reads one frame payload. Returns `Ok(None)` on a clean EOF at a frame
-/// boundary (the peer hung up between messages); EOF mid-frame is an error.
-/// The announced length is checked against [`MAX_FRAME`] before anything
-/// is allocated.
+/// Buffer capacity a connection keeps between frames. A large frame
+/// (`METRICS`, a `REPRICE` carrying a whole pricing) may grow a buffer
+/// past it; the next frame starts from this cap again.
+const RETAIN_CAP: usize = 64 * 1024;
+
+/// Writes one frame — `u32` big-endian payload length, then the payload —
+/// with a single `write_all`, so a small frame leaves as one TCP segment.
 ///
-/// Read timeouts (`WouldBlock`/`TimedOut`, from a socket with a read
-/// timeout) are retried. Before a frame's first header byte each timeout
-/// also polls `stop`, and a set flag ends the read with `Ok(None)`, so an
-/// idle keep-alive connection neither busy-spins nor outlives shutdown. A
-/// timeout *inside* a frame keeps reading: the peer has committed to
-/// sending it. Callers without a read timeout pass `None`.
-pub fn read_frame<R: Read>(r: &mut R, stop: Option<&AtomicBool>) -> io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; 4];
-    if !read_full(r, &mut header, true, stop)? {
-        return Ok(None);
-    }
-    let len = u32::from_be_bytes(header) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
+/// `buf` is the connection's reusable frame buffer: it is cleared, given a
+/// 4-byte header placeholder, filled by `payload` (e.g.
+/// `|out| request.encode_into(out)`), and the length patched in. A steady
+/// connection therefore allocates nothing per frame. A payload over
+/// [`MAX_FRAME`] is refused with `InvalidInput` and nothing is written.
+pub fn write_frame<W: Write>(
+    w: &mut W,
+    buf: &mut Vec<u8>,
+    payload: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<()> {
+    buf.clear();
+    buf.extend_from_slice(&[0; 4]);
+    payload(buf);
+    let len = buf.len() - 4;
+    let sent = if len > MAX_FRAME {
+        Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
             WireError::Oversized(len).to_string(),
-        ));
+        ))
+    } else {
+        buf[..4].copy_from_slice(&(len as u32).to_be_bytes());
+        w.write_all(buf).and_then(|()| w.flush())
+    };
+    if buf.capacity() > RETAIN_CAP {
+        buf.clear();
+        buf.shrink_to(RETAIN_CAP);
     }
-    let mut payload = vec![0u8; len];
-    read_full(r, &mut payload, false, None)?;
-    Ok(Some(payload))
+    sent
 }
 
-/// Fills `buf` for [`read_frame`], retrying interrupts and read timeouts.
-/// Returns `Ok(false)` with nothing read when `buf` is a frame `header` and
-/// the peer hangs up, or `stop` is set, before its first byte.
-fn read_full<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    header: bool,
-    stop: Option<&AtomicBool>,
-) -> io::Result<bool> {
-    let mut got = 0;
-    while got < buf.len() {
-        let at_boundary = header && got == 0;
-        match r.read(&mut buf[got..]) {
-            Ok(0) if at_boundary => return Ok(false),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    if header {
-                        "EOF inside a frame header"
-                    } else {
-                        "EOF inside a frame payload"
-                    },
-                ))
+/// One connection's read side: the bytes read from the stream but not yet
+/// returned as frames.
+///
+/// Reads ask for up to 8 KiB at a time, so a small frame usually costs one
+/// `read`, and bytes of a following frame stay buffered for the next call.
+/// Each frame is returned as a slice of the buffer, so nothing is allocated
+/// per frame either. The buffer grows only with bytes that have actually
+/// arrived — never to a length the peer merely announced — and is cut back
+/// to 64 KiB between frames.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    /// Read buffer; `buf[start..end]` holds the unconsumed bytes.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl FrameReader {
+    /// An empty reader; its buffer is allocated by the first read.
+    pub fn new() -> FrameReader {
+        FrameReader::default()
+    }
+
+    /// Reads one frame payload. Returns `Ok(None)` on a clean EOF at a
+    /// frame boundary (the peer hung up between messages); EOF mid-frame is
+    /// an error. The announced length is checked against [`MAX_FRAME`]
+    /// before anything is sized from it.
+    ///
+    /// Read timeouts (`WouldBlock`/`TimedOut`, from a socket with a read
+    /// timeout) are retried. Before a frame's first header byte each
+    /// timeout also polls `stop`, and a set flag ends the read with
+    /// `Ok(None)`, so an idle keep-alive connection neither busy-spins nor
+    /// outlives shutdown. A timeout *inside* a frame keeps reading: the
+    /// peer has committed to sending it. Callers without a read timeout
+    /// pass `None`.
+    pub fn read_frame<R: Read>(
+        &mut self,
+        r: &mut R,
+        stop: Option<&AtomicBool>,
+    ) -> io::Result<Option<&[u8]>> {
+        if self.start == self.end {
+            // Drained: read the next frame into the front of the buffer.
+            self.start = 0;
+            self.end = 0;
+        }
+        if self.buf.capacity() > RETAIN_CAP && self.end - self.start <= RETAIN_CAP {
+            self.compact();
+            self.buf.truncate(RETAIN_CAP);
+            self.buf.shrink_to_fit();
+        }
+        if !self.fill(r, 4, stop)? {
+            return Ok(None);
+        }
+        let mut header = [0u8; 4];
+        header.copy_from_slice(&self.buf[self.start..self.start + 4]);
+        let len = u32::from_be_bytes(header) as usize;
+        if len > MAX_FRAME {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                WireError::Oversized(len).to_string(),
+            ));
+        }
+        // Never `false`: the header is buffered, so this is not a boundary.
+        self.fill(r, 4 + len, stop)?;
+        let payload = self.start + 4..self.start + 4 + len;
+        self.start = payload.end;
+        Ok(Some(&self.buf[payload]))
+    }
+
+    /// Reads until `need` unconsumed bytes are buffered, retrying
+    /// interrupts and read timeouts. Returns `Ok(false)` with nothing read
+    /// when the peer hangs up, or `stop` is set, before the next frame's
+    /// first byte.
+    fn fill<R: Read>(
+        &mut self,
+        r: &mut R,
+        need: usize,
+        stop: Option<&AtomicBool>,
+    ) -> io::Result<bool> {
+        while self.end - self.start < need {
+            let at_boundary = self.end == self.start;
+            if self.end == self.buf.len() {
+                self.make_room(need);
             }
-            Ok(n) => got += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // ordering: Acquire — pairs with the Release stores of the
-                // stop flag.
-                if at_boundary && stop.is_some_and(|s| s.load(Ordering::Acquire)) {
-                    return Ok(false);
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(0) if at_boundary => return Ok(false),
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        if self.end - self.start < 4 {
+                            "EOF inside a frame header"
+                        } else {
+                            "EOF inside a frame payload"
+                        },
+                    ))
                 }
+                Ok(n) => self.end += n,
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    // ordering: Acquire — pairs with the Release stores of
+                    // the stop flag.
+                    if at_boundary && stop.is_some_and(|s| s.load(Ordering::Acquire)) {
+                        return Ok(false);
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+        }
+        Ok(true)
+    }
+
+    /// Frees space to read into once the buffer is full: moves the
+    /// unconsumed bytes to the front, and if that frees nothing, grows the
+    /// buffer toward `need` — by at most the bytes already buffered, or
+    /// [`READ_CHUNK`] if that is more. A peer announcing a 16 MiB frame and
+    /// sending 10 bytes thus costs a [`READ_CHUNK`]-sized buffer, not 16 MiB.
+    fn make_room(&mut self, need: usize) {
+        self.compact();
+        if self.end == self.buf.len() {
+            let ahead = self.end.max(READ_CHUNK);
+            let len = need.min(self.end + ahead).max(READ_CHUNK);
+            self.buf.resize(len, 0);
         }
     }
-    Ok(true)
+
+    fn compact(&mut self) {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -657,10 +764,17 @@ impl Request {
     /// Serializes into a frame payload (opcode byte + body).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the frame payload to `out` — the allocation-free form of
+    /// `encode`, used with [`write_frame`]'s reusable buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Request::Quote(bundle) => {
                 out.push(OP_QUOTE);
-                put_bundle(&mut out, bundle);
+                put_bundle(out, bundle);
             }
             Request::Purchase {
                 quote_id,
@@ -668,28 +782,27 @@ impl Request {
                 tick,
             } => {
                 out.push(OP_PURCHASE);
-                put_u64(&mut out, *quote_id);
-                put_f64(&mut out, *budget);
-                put_u64(&mut out, *tick);
+                put_u64(out, *quote_id);
+                put_f64(out, *budget);
+                put_u64(out, *tick);
             }
             Request::Stats => out.push(OP_STATS),
             Request::Reprice(patch) => {
                 out.push(OP_REPRICE);
-                put_patch(&mut out, patch);
+                put_patch(out, patch);
             }
             Request::Shutdown => out.push(OP_SHUTDOWN),
             Request::Metrics => out.push(OP_METRICS),
             Request::Trace { trace_id } => {
                 out.push(OP_TRACE);
-                put_u64(&mut out, *trace_id);
+                put_u64(out, *trace_id);
             }
             Request::Traced { trace_id, request } => {
                 out.push(OP_TRACED);
-                put_u64(&mut out, *trace_id);
-                out.extend_from_slice(&request.encode());
+                put_u64(out, *trace_id);
+                request.encode_into(out);
             }
         }
-        out
     }
 
     /// The opcode byte this request encodes with ([`Request::Traced`]
@@ -744,62 +857,68 @@ impl Response {
     /// Serializes into a frame payload (opcode byte + body).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the frame payload to `out` — the allocation-free form of
+    /// `encode`, used with [`write_frame`]'s reusable buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Quoted(q) => {
                 out.push(OP_QUOTED);
-                put_u64(&mut out, q.quote_id);
-                put_f64(&mut out, q.price);
-                put_u64(&mut out, q.epoch);
-                put_u32(&mut out, q.shard);
+                put_u64(out, q.quote_id);
+                put_f64(out, q.price);
+                put_u64(out, q.epoch);
+                put_u32(out, q.shard);
                 out.push(u8::from(q.cache_hit));
             }
             Response::Purchased { sold, price } => {
                 out.push(OP_PURCHASED);
                 out.push(u8::from(*sold));
-                put_f64(&mut out, *price);
+                put_f64(out, *price);
             }
             Response::Stats(shards) => {
                 out.push(OP_STATS_REPLY);
-                put_u32(&mut out, shards.len() as u32);
+                put_u32(out, shards.len() as u32);
                 for s in shards {
-                    put_u64(&mut out, s.epoch);
-                    put_u64(&mut out, s.quotes);
-                    put_u64(&mut out, s.cache_hits);
-                    put_u64(&mut out, s.invalidations);
-                    put_u64(&mut out, s.evictions);
-                    put_u64(&mut out, s.sales);
-                    put_u64(&mut out, s.declines);
-                    put_f64(&mut out, s.revenue);
+                    put_u64(out, s.epoch);
+                    put_u64(out, s.quotes);
+                    put_u64(out, s.cache_hits);
+                    put_u64(out, s.invalidations);
+                    put_u64(out, s.evictions);
+                    put_u64(out, s.sales);
+                    put_u64(out, s.declines);
+                    put_f64(out, s.revenue);
                 }
             }
             Response::Repriced { epochs } => {
                 out.push(OP_REPRICED);
-                put_u32(&mut out, epochs.len() as u32);
+                put_u32(out, epochs.len() as u32);
                 for &e in epochs {
-                    put_u64(&mut out, e);
+                    put_u64(out, e);
                 }
             }
             Response::ShutdownAck => out.push(OP_SHUTDOWN_ACK),
             Response::Metrics(snap) => {
                 out.push(OP_METRICS_REPLY);
-                put_metrics(&mut out, snap);
+                put_metrics(out, snap);
             }
             Response::Trace(exemplars) => {
                 out.push(OP_TRACE_REPLY);
-                put_u32(&mut out, exemplars.len() as u32);
+                put_u32(out, exemplars.len() as u32);
                 for ex in exemplars {
-                    put_exemplar(&mut out, ex);
+                    put_exemplar(out, ex);
                 }
             }
             Response::Error { code, message } => {
                 out.push(OP_ERROR);
                 out.push(*code as u8);
                 let bytes = message.as_bytes();
-                put_u32(&mut out, bytes.len() as u32);
+                put_u32(out, bytes.len() as u32);
                 out.extend_from_slice(bytes);
             }
         }
-        out
     }
 
     /// Parses a frame payload.
@@ -872,14 +991,33 @@ mod tests {
     use super::*;
     use std::collections::VecDeque;
 
+    /// One frame as `write_frame` sends it.
+    fn frame_of(payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &mut Vec::new(), payload).expect("a Vec accepts every write");
+        wire
+    }
+
+    /// Checks that the single-write frame is byte-identical to a 4-byte
+    /// header followed by `encode()`'s payload, and returns that payload as
+    /// a `FrameReader` reads it back.
+    fn frame_roundtrip(wire: &[u8], payload: &[u8]) -> Vec<u8> {
+        let mut header_then_payload = (payload.len() as u32).to_be_bytes().to_vec();
+        header_then_payload.extend_from_slice(payload);
+        assert_eq!(wire, &header_then_payload[..], "frame bytes changed");
+        let mut reader = FrameReader::new();
+        let got = reader.read_frame(&mut &wire[..], None).expect("reads");
+        got.expect("one frame").to_vec()
+    }
+
     fn roundtrip_request(req: Request) {
-        let decoded = Request::decode(&req.encode()).expect("decodes");
-        assert_eq!(decoded, req);
+        let payload = frame_roundtrip(&frame_of(|out| req.encode_into(out)), &req.encode());
+        assert_eq!(Request::decode(&payload).expect("decodes"), req);
     }
 
     fn roundtrip_response(resp: Response) {
-        let decoded = Response::decode(&resp.encode()).expect("decodes");
-        assert_eq!(decoded, resp);
+        let payload = frame_roundtrip(&frame_of(|out| resp.encode_into(out)), &resp.encode());
+        assert_eq!(Response::decode(&payload).expect("decodes"), resp);
     }
 
     #[test]
@@ -1123,24 +1261,22 @@ mod tests {
         ];
         let mut wire = Vec::new();
         for p in &payloads {
-            write_frame(&mut wire, p).unwrap();
+            wire.extend(frame_of(|out| out.extend_from_slice(p)));
         }
         let mut reader = &wire[..];
+        let mut frames = FrameReader::new();
         for p in &payloads {
-            assert_eq!(
-                read_frame(&mut reader, None).unwrap().as_deref(),
-                Some(&p[..])
-            );
+            assert_eq!(frames.read_frame(&mut reader, None).unwrap(), Some(&p[..]));
         }
         // Clean EOF at the frame boundary.
-        assert_eq!(read_frame(&mut reader, None).unwrap(), None);
+        assert_eq!(frames.read_frame(&mut reader, None).unwrap(), None);
         // EOF inside a header is an error, not a clean end.
         let mut partial = &[0u8, 0][..];
-        assert!(read_frame(&mut partial, None).is_err());
+        assert!(FrameReader::new().read_frame(&mut partial, None).is_err());
         // An oversized announced length is rejected without allocating.
         let huge = (MAX_FRAME as u32 + 1).to_be_bytes();
         let mut reader = &huge[..];
-        assert!(read_frame(&mut reader, None).is_err());
+        assert!(FrameReader::new().read_frame(&mut reader, None).is_err());
 
         // A socket with a read timeout: timeouts before the first header
         // byte poll the stop flag, timeouts mid-frame keep reading.
@@ -1162,13 +1298,22 @@ mod tests {
         let stopped = AtomicBool::new(true);
         for stop in [None, Some(&running)] {
             let mut reader = timeouts_everywhere();
-            let got = read_frame(&mut reader, stop).unwrap();
-            assert_eq!(got.as_deref(), Some(&payloads[1][..]));
-            assert_eq!(read_frame(&mut reader, stop).unwrap(), None, "clean EOF");
+            let mut frames = FrameReader::new();
+            let got = frames.read_frame(&mut reader, stop).unwrap();
+            assert_eq!(got, Some(&payloads[1][..]));
+            assert_eq!(
+                frames.read_frame(&mut reader, stop).unwrap(),
+                None,
+                "clean EOF"
+            );
         }
         // A set stop flag ends an idle wait at the frame boundary...
         let mut reader = timeouts_everywhere();
-        assert_eq!(read_frame(&mut reader, Some(&stopped)).unwrap(), None);
+        let mut frames = FrameReader::new();
+        assert_eq!(
+            frames.read_frame(&mut reader, Some(&stopped)).unwrap(),
+            None
+        );
         assert_eq!(reader.0.len(), 6, "nothing past the first timeout was read");
         // ...but not a frame the peer has started sending.
         let mut reader = Scripted(VecDeque::from(vec![
@@ -1178,14 +1323,133 @@ mod tests {
             Err(io::ErrorKind::WouldBlock),
             Ok(frame[6..].to_vec()),
         ]));
-        let got = read_frame(&mut reader, Some(&stopped)).unwrap();
-        assert_eq!(got.as_deref(), Some(&payloads[1][..]));
+        let mut frames = FrameReader::new();
+        let got = frames.read_frame(&mut reader, Some(&stopped)).unwrap();
+        assert_eq!(got, Some(&payloads[1][..]));
         // EOF mid-payload is an error even between timeouts.
         let mut reader = Scripted(VecDeque::from(vec![
             Ok(head.to_vec()),
             Err(io::ErrorKind::WouldBlock),
         ]));
-        assert!(read_frame(&mut reader, Some(&running)).is_err());
+        assert!(FrameReader::new()
+            .read_frame(&mut reader, Some(&running))
+            .is_err());
+    }
+
+    #[test]
+    fn one_write_per_frame_and_one_read_per_buffered_frame() {
+        // The hot-path frames, spelled out from PROTOCOL.md: QUOTE {0, 7}
+        // (one bitset block, 0x81) and PURCHASE {id 3, budget 1.5, tick 9}.
+        let quote = Request::Quote([0usize, 7].into_iter().collect());
+        let quote_frame = [0, 0, 0, 13, 0x01, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0x81];
+        let purchase = Request::Purchase {
+            quote_id: 3,
+            budget: 1.5,
+            tick: 9,
+        };
+        let mut purchase_frame = vec![0, 0, 0, 25, 0x02];
+        purchase_frame.extend_from_slice(&3u64.to_be_bytes());
+        purchase_frame.extend_from_slice(&1.5f64.to_bits().to_be_bytes());
+        purchase_frame.extend_from_slice(&9u64.to_be_bytes());
+
+        let mut buf = Vec::new();
+        for (req, frame) in [(&quote, &quote_frame[..]), (&purchase, &purchase_frame[..])] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &mut buf, |out| req.encode_into(out)).unwrap();
+            assert_eq!(w.writes, 1, "{req:?} took {} writes", w.writes);
+            assert_eq!(w.bytes, frame, "{req:?}");
+        }
+
+        // A frame delivered in one chunk costs one read.
+        let mut frames = FrameReader::new();
+        let mut r = CountingReader::new(vec![Ok(quote_frame.to_vec())]);
+        assert_eq!(
+            frames.read_frame(&mut r, None).unwrap(),
+            Some(&quote_frame[4..])
+        );
+        assert_eq!(r.reads, 1);
+        // Two frames in one chunk both come back, in order, from one read:
+        // the second stays buffered across the call.
+        let mut both = quote_frame.to_vec();
+        both.extend_from_slice(&purchase_frame);
+        let mut r = CountingReader::new(vec![Ok(both)]);
+        assert_eq!(
+            frames.read_frame(&mut r, None).unwrap(),
+            Some(&quote_frame[4..])
+        );
+        assert_eq!(
+            frames.read_frame(&mut r, None).unwrap(),
+            Some(&purchase_frame[4..])
+        );
+        assert_eq!(r.reads, 1, "the second frame came from the buffer");
+        assert_eq!(frames.read_frame(&mut r, None).unwrap(), None);
+    }
+
+    #[test]
+    fn buffers_grow_with_bytes_received_and_shrink_between_frames() {
+        // A peer announces MAX_FRAME, sends 10 bytes and hangs up: the read
+        // fails, and the buffer holds what arrived, not what was announced.
+        let mut hostile = (MAX_FRAME as u32).to_be_bytes().to_vec();
+        hostile.extend_from_slice(&[7; 10]);
+        let mut frames = FrameReader::new();
+        let err = frames
+            .read_frame(&mut Scripted(VecDeque::from(vec![Ok(hostile)])), None)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            frames.buf.capacity() <= READ_CHUNK,
+            "{}",
+            frames.buf.capacity()
+        );
+        // Past the first chunk the buffer grows with the bytes received:
+        // 100 KiB of a claimed 16 MiB frame costs at most twice 100 KiB.
+        let received = 100 << 10;
+        let mut hostile = (MAX_FRAME as u32).to_be_bytes().to_vec();
+        hostile.resize(4 + received, 7);
+        let mut frames = FrameReader::new();
+        let err = frames
+            .read_frame(&mut Scripted(VecDeque::from(vec![Ok(hostile)])), None)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            frames.buf.capacity() <= 2 * received,
+            "{}",
+            frames.buf.capacity()
+        );
+
+        // A 1 MiB frame grows the buffer geometrically with its bytes; the
+        // next frame starts from the retained cap again.
+        let big = vec![0xAB; 1 << 20];
+        let mut wire = frame_of(|out| out.extend_from_slice(&big));
+        wire.extend(frame_of(|out| out.push(OP_STATS)));
+        let mut frames = FrameReader::new();
+        let mut r = CountingReader::new(vec![Ok(wire)]);
+        let got = frames.read_frame(&mut r, None).unwrap();
+        assert_eq!(got, Some(&big[..]));
+        assert!(r.reads <= 16, "{} reads for 1 MiB", r.reads);
+        assert_eq!(
+            frames.read_frame(&mut r, None).unwrap(),
+            Some(&[OP_STATS][..])
+        );
+        assert!(
+            frames.buf.capacity() <= RETAIN_CAP,
+            "{}",
+            frames.buf.capacity()
+        );
+
+        // The write side keeps the same cap, and refuses an oversized
+        // payload without writing anything.
+        let mut buf = Vec::new();
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &mut buf, |out| out.extend_from_slice(&big)).unwrap();
+        assert!(buf.capacity() <= RETAIN_CAP, "{}", buf.capacity());
+        let mut w = CountingWriter::default();
+        let err = write_frame(&mut w, &mut buf, |out| {
+            out.resize(out.len() + MAX_FRAME + 1, 0)
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(w.writes, 0);
     }
 
     /// A `Read` that replays a script of chunks and errors, then reports
@@ -1207,6 +1471,47 @@ mod tests {
                     Ok(n)
                 }
             }
+        }
+    }
+
+    /// A [`Scripted`] reader that counts the `read` calls reaching it.
+    struct CountingReader {
+        inner: Scripted,
+        reads: usize,
+    }
+
+    impl CountingReader {
+        fn new(script: Vec<Result<Vec<u8>, io::ErrorKind>>) -> CountingReader {
+            CountingReader {
+                inner: Scripted(VecDeque::from(script)),
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for CountingReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    /// A `Write` that records the bytes and counts the `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
         }
     }
 }

@@ -26,7 +26,7 @@ use qp_core::RingBuffer;
 use qp_store::SharedStore;
 use qp_telemetry::{FlightDump, ProtocolEvent, TelemetrySink};
 
-use crate::protocol::{read_frame, write_frame, ErrorCode, QuoteReply, Request, Response};
+use crate::protocol::{write_frame, ErrorCode, FrameReader, QuoteReply, Request, Response};
 use crate::shard::{SettleOutcome, ShardSet};
 
 /// How often an idle handler thread re-checks the stop flag.
@@ -342,8 +342,12 @@ fn handle_connection(mut stream: TcpStream, state: Arc<ServerState>) {
     let sink = state.shards.telemetry_sink().clone();
     let request_span = sink.span_handle("server.request");
     let decode_span = sink.span_handle("frame.decode");
+    // One read buffer and one write buffer for the connection's lifetime:
+    // bytes a pipelining peer sent past this frame stay in `reader`.
+    let mut reader = FrameReader::new();
+    let mut out = Vec::new();
     loop {
-        let payload = match read_frame(&mut stream, Some(&state.stop)) {
+        let payload = match reader.read_frame(&mut stream, Some(&state.stop)) {
             Ok(Some(payload)) => payload,
             Ok(None) | Err(_) => return, // peer EOF, stop flag, or broken pipe
         };
@@ -389,7 +393,7 @@ fn handle_connection(mut stream: TcpStream, state: Arc<ServerState>) {
         let req_guard = request_span.enter();
         let decoded = {
             let _guard = decode_span.enter();
-            Request::decode(&payload)
+            Request::decode(payload)
         };
         let (response, shutdown) = match decoded {
             Ok(request) => {
@@ -406,7 +410,8 @@ fn handle_connection(mut stream: TcpStream, state: Arc<ServerState>) {
             }
             Err(err) => (error_response(&err), false),
         };
-        let write_failed = write_frame(&mut stream, &response.encode()).is_err();
+        let write_failed =
+            write_frame(&mut stream, &mut out, |out| response.encode_into(out)).is_err();
         drop(req_guard);
         // ordering: SeqCst — see `QuoteServer::quiesce`; the decrement
         // comes after the reply write, so quiesce implies every dispatched
@@ -516,6 +521,7 @@ mod tests {
     use qp_market::{Broker, SupportConfig};
     use qp_pricing::algorithms::PricingPatch;
     use qp_qdb::{ColumnType, Database, Query, Relation, Schema, Value};
+    use std::io::Write;
 
     fn tiny_broker() -> Arc<Broker> {
         let mut rel = Relation::new(Schema::new(vec![
@@ -579,35 +585,98 @@ mod tests {
         server.shutdown();
     }
 
+    /// A raw connection: frames go out through `write_frame` and replies
+    /// come back through one `FrameReader`, with no `QuoteClient` in between.
+    /// A reply that has not started within the read timeout reads as
+    /// `None`, so a lost reply fails the test instead of hanging it.
+    struct RawConn {
+        stream: TcpStream,
+        out: Vec<u8>,
+        reader: FrameReader,
+        give_up: AtomicBool,
+    }
+
+    impl RawConn {
+        fn new(stream: TcpStream) -> RawConn {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("set read timeout");
+            RawConn {
+                stream,
+                out: Vec::new(),
+                reader: FrameReader::new(),
+                give_up: AtomicBool::new(true),
+            }
+        }
+
+        fn send(&mut self, payload: &[u8]) -> io::Result<()> {
+            write_frame(&mut self.stream, &mut self.out, |out| {
+                out.extend_from_slice(payload)
+            })
+        }
+
+        fn reply(&mut self) -> io::Result<Option<Response>> {
+            let payload = self
+                .reader
+                .read_frame(&mut self.stream, Some(&self.give_up))?;
+            Ok(payload.map(|p| Response::decode(p).expect("reply decodes")))
+        }
+    }
+
     #[test]
     fn malformed_and_unknown_frames_get_typed_errors_not_hangups() {
         let mut server = start_server(1);
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        let mut conn = RawConn::new(TcpStream::connect(server.local_addr()).expect("connect"));
 
         // Unknown opcode.
-        write_frame(&mut stream, &[0x42u8]).unwrap();
-        let reply = read_frame(&mut stream, None).unwrap().expect("reply");
-        match Response::decode(&reply).unwrap() {
+        conn.send(&[0x42u8]).unwrap();
+        match conn.reply().unwrap().expect("reply") {
             Response::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownOpcode),
             other => panic!("expected error, got {other:?}"),
         }
 
         // Truncated QUOTE body — the connection survives to serve a good
         // request afterwards.
-        write_frame(&mut stream, &[0x01u8, 0, 0]).unwrap();
-        let reply = read_frame(&mut stream, None).unwrap().expect("reply");
-        match Response::decode(&reply).unwrap() {
+        conn.send(&[0x01u8, 0, 0]).unwrap();
+        match conn.reply().unwrap().expect("reply") {
             Response::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
             other => panic!("expected error, got {other:?}"),
         }
-        write_frame(&mut stream, &Request::Stats.encode()).unwrap();
-        let reply = read_frame(&mut stream, None).unwrap().expect("reply");
+        conn.send(&Request::Stats.encode()).unwrap();
         assert!(matches!(
-            Response::decode(&reply).unwrap(),
+            conn.reply().unwrap().expect("reply"),
             Response::Stats(_)
         ));
 
-        drop(stream);
+        drop(conn);
+        server.shutdown();
+    }
+
+    #[test]
+    fn two_requests_in_one_write_get_two_replies_in_order() {
+        let mut server = start_server(1);
+        server
+            .shards()
+            .apply_patch(&PricingPatch::SetUniformPrice(4.0));
+        let mut conn = RawConn::new(TcpStream::connect(server.local_addr()).expect("connect"));
+        // Both frames leave in one write, so the server's first read
+        // returns both, and the second must survive in its buffer.
+        let bundle: ItemSet = [1usize, 2].as_slice().into();
+        let mut wire = Vec::new();
+        for request in [Request::Quote(bundle), Request::Stats] {
+            write_frame(&mut wire, &mut conn.out, |out| request.encode_into(out)).unwrap();
+        }
+        conn.stream.write_all(&wire).unwrap();
+        match conn.reply().unwrap().expect("first reply") {
+            Response::Quoted(q) => assert_eq!(q.price, 4.0),
+            other => panic!("expected a quote, got {other:?}"),
+        }
+        match conn.reply().unwrap().expect("second reply") {
+            Response::Stats(shards) => assert_eq!(shards[0].quotes, 1, "served after the quote"),
+            other => panic!("expected stats, got {other:?}"),
+        }
+
+        drop(conn);
         server.shutdown();
     }
 
@@ -623,11 +692,13 @@ mod tests {
         // New connections are no longer served (either refused outright or
         // accepted by the OS backlog and never answered — sending must not
         // yield a reply).
-        if let Ok(mut s) = TcpStream::connect(addr) {
-            let _ = write_frame(&mut s, &Request::Stats.encode());
-            s.set_read_timeout(Some(Duration::from_millis(200)))
+        if let Ok(stream) = TcpStream::connect(addr) {
+            let mut conn = RawConn::new(stream);
+            let _ = conn.send(&Request::Stats.encode());
+            conn.stream
+                .set_read_timeout(Some(Duration::from_millis(200)))
                 .unwrap();
-            let got_reply = matches!(read_frame(&mut s, None), Ok(Some(_)));
+            let got_reply = matches!(conn.reply(), Ok(Some(_)));
             assert!(!got_reply, "a shut-down server must not serve");
         }
     }
