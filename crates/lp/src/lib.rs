@@ -3,10 +3,15 @@
 //! The pricing algorithms of Chawla et al. (VLDB 2019) — `LPIP`, `CIP`, the
 //! subadditive revenue upper bound and the UBP refinement step — all reduce to
 //! moderately sized linear programs. The paper used CVXPY; this crate provides
-//! the equivalent substrate in pure Rust: a dense **two-phase primal simplex**
-//! solver that returns both the primal solution and the dual values of every
-//! constraint. A [`SimplexWorkspace`] owns the solver's buffers, so a sweep
-//! of related LPs ([`LpProblem::solve_with`]) reuses one tableau.
+//! the equivalent substrate in pure Rust: a **two-phase primal simplex**
+//! solver over a row-major tableau that returns both the primal solution and
+//! the dual values of every constraint. Each pivot eliminates only over the
+//! pivot row's non-zero columns (the reduced-cost row stays dense), which
+//! gives the same bits as the dense solver kept in [`mod@reference`]. A
+//! [`SimplexWorkspace`] owns the solver's buffers, so a sweep of related
+//! LPs ([`LpProblem::solve_with`]) reuses one tableau, and a sweep of
+//! objectives over fixed constraints ([`LpProblem::solve_objectives_with`],
+//! CIP's capacities) runs phase 1 only once.
 //!
 //! The solver targets the problem shapes that appear in query pricing
 //! (hundreds of constraints, a few thousand variables) and favours
@@ -43,6 +48,7 @@
 
 mod error;
 mod problem;
+pub mod reference;
 mod simplex;
 mod solution;
 pub mod validate;
@@ -50,7 +56,7 @@ pub mod validate;
 pub use error::LpError;
 pub use problem::{Constraint, ConstraintOp, LpProblem, Sense};
 pub use simplex::SimplexWorkspace;
-pub use solution::{LpSolution, LpStatus};
+pub use solution::{LpSolution, LpStatus, SweepSolution};
 
 /// Numerical tolerance used throughout the solver for feasibility and
 /// optimality tests.

@@ -1,6 +1,6 @@
 //! Linear-program construction.
 
-use crate::{simplex, LpError, LpSolution, SimplexWorkspace};
+use crate::{simplex, LpError, LpSolution, SimplexWorkspace, SweepSolution};
 
 /// Optimization direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,12 +124,12 @@ impl LpProblem {
 
     /// Validates indices and finiteness of all coefficients.
     pub fn validate(&self) -> Result<(), LpError> {
-        for (i, &c) in self.objective.iter().enumerate() {
-            if !c.is_finite() {
-                return Err(LpError::NonFiniteCoefficient);
-            }
-            debug_assert!(i < self.num_vars);
-        }
+        validate_objective(&self.objective)?;
+        self.validate_constraints()
+    }
+
+    /// [`LpProblem::validate`] without the objective.
+    pub(crate) fn validate_constraints(&self) -> Result<(), LpError> {
         for cons in &self.constraints {
             if !cons.rhs.is_finite() {
                 return Err(LpError::NonFiniteCoefficient);
@@ -164,6 +164,52 @@ impl LpProblem {
     pub fn solve_with(&self, ws: &mut SimplexWorkspace) -> Result<LpSolution, LpError> {
         self.validate()?;
         simplex::solve(self, ws)
+    }
+
+    /// Solves one LP per entry of `objectives`: this problem's constraints,
+    /// sense and pivot budget, with `objectives[i]` (dense, one coefficient
+    /// per variable) in place of the problem's own objective, which is
+    /// ignored.
+    ///
+    /// Phase 1 never reads the objective, so it runs once for the whole
+    /// sweep; each objective then runs only phase 2, from a snapshot of the
+    /// state phase 1 left. Result `i` carries exactly the objective value,
+    /// primal and pivot count (phase 1's included) that
+    /// [`LpProblem::solve_with`] returns with `objectives[i]` set, and the
+    /// same error: a non-finite objective first, then a constraint or
+    /// phase-1 error (shared by every objective), then that objective's
+    /// phase-2 error.
+    ///
+    /// Results carry **no duals**: the sweep drops the artificial columns
+    /// after phase 1, and the duals of `≥`/`=` rows live there. Use
+    /// [`LpProblem::solve_with`] when duals are needed. The problem is
+    /// taken by value so its constraint rows are freed once the tableau
+    /// is built.
+    ///
+    /// # Panics
+    /// Panics if an objective's length is not [`LpProblem::num_vars`].
+    pub fn solve_objectives_with(
+        self,
+        objectives: &[Vec<f64>],
+        ws: &mut SimplexWorkspace,
+    ) -> Vec<Result<SweepSolution, LpError>> {
+        for c in objectives {
+            assert_eq!(
+                c.len(),
+                self.num_vars,
+                "objective length must equal num_vars"
+            );
+        }
+        simplex::sweep(self, objectives, ws)
+    }
+}
+
+/// Checks that every objective coefficient is finite.
+pub(crate) fn validate_objective(c: &[f64]) -> Result<(), LpError> {
+    if c.iter().all(|x| x.is_finite()) {
+        Ok(())
+    } else {
+        Err(LpError::NonFiniteCoefficient)
     }
 }
 

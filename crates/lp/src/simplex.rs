@@ -1,4 +1,4 @@
-//! Dense two-phase primal simplex.
+//! Two-phase primal simplex with sparse elimination.
 //!
 //! The implementation keeps the full tableau in row-major `f64` storage and
 //! maintains the reduced-cost row incrementally. Phase 1 maximizes the
@@ -6,12 +6,30 @@
 //! Dantzig pricing is used by default with a switch to Bland's rule after a
 //! pivot budget is exceeded, which guarantees termination.
 //!
+//! A pivot updates the other rows only at the non-zero columns of the
+//! normalized pivot row: subtracting `factor * ±0.0` leaves every entry as
+//! it is, except that a `-0.0` can turn into `+0.0`. So the rows that may
+//! hold a `-0.0` (a right-hand side given as `-0.0`, a row normalized by a
+//! negative pivot) and the reduced-cost row, whose zero costs are `-0.0`,
+//! are still updated over their full width. The tableau therefore stays
+//! bit-identical to the dense solver's kept in [`crate::reference`], and
+//! so do the results, duals included. Collecting the non-zero columns
+//! costs a pass over the pivot row, so a pivot collects them only once it
+//! has updated `SPARSE_AFTER` rows, and uses them only when at most a
+//! quarter of the columns are non-zero; otherwise the vectorized
+//! full-width update is faster.
+//!
 //! Every buffer the solver touches lives in a [`SimplexWorkspace`], so a
 //! sweep of LPs (LPIP's thresholds, CIP's capacities) pays for its tableau
 //! once instead of once per LP. Only the returned primal and dual vectors
 //! are allocated per solve.
+//!
+//! [`sweep`] solves one constraint set under many objectives. Phase 1 never
+//! reads the objective, so it runs once; the artificial columns are then
+//! compacted out of the tableau, the post-phase-1 state is kept as a sparse
+//! snapshot, and each objective restores the snapshot and runs phase 2.
 
-use crate::{ConstraintOp, LpError, LpProblem, LpSolution, LpStatus, Sense, EPS};
+use crate::{ConstraintOp, LpError, LpProblem, LpSolution, LpStatus, Sense, SweepSolution, EPS};
 
 /// Per-row bookkeeping of how the original constraint was normalized.
 #[derive(Debug)]
@@ -25,11 +43,28 @@ struct RowInfo {
     negated: bool,
     /// Whether the row is still active (phase 1 may drop redundant rows).
     active: bool,
+    /// Whether the row may hold a `-0.0`. Such a row is eliminated over its
+    /// full width (see the module docs); every other row holds none. Once
+    /// set, the flag stays set.
+    neg_zero: bool,
 }
 
-/// Reusable buffers of the simplex solver: the dense tableau, the
-/// reduced-cost row, the pivot-row copy, the phase cost vector and the
-/// per-row basis bookkeeping.
+/// Rows a pivot updates over their full width before it collects the pivot
+/// row's non-zero columns. LPIP's pivots mostly update fewer rows than
+/// this; CIP's update tens to hundreds.
+const SPARSE_AFTER: usize = 4;
+
+/// A pivot row with more than `1 / DENSE_DIV` of its entries non-zero is
+/// eliminated over the full width of every row: that loop vectorizes, and
+/// at such densities it beats the indexed one.
+const DENSE_DIV: usize = 4;
+
+/// The bits of `-0.0`.
+const NEG_ZERO: u64 = 1 << 63;
+
+/// Reusable buffers of the simplex solver: the tableau with its
+/// reduced-cost row, pivot-row copy and basis bookkeeping, and the phase
+/// cost vector.
 ///
 /// Solving through one workspace ([`LpProblem::solve_with`]) returns
 /// exactly the solution a fresh [`LpProblem::solve`] returns — same pivots,
@@ -39,19 +74,9 @@ struct RowInfo {
 /// dropped, so a caller scopes one workspace to one sweep of LPs.
 #[derive(Debug, Default)]
 pub struct SimplexWorkspace {
-    /// Row-major `m × (cols + 1)` tableau; the last entry of each row is the
-    /// right-hand side.
-    a: Vec<f64>,
-    /// Reduced-cost row of length `cols + 1`.
-    obj: Vec<f64>,
-    /// Copy of the normalized pivot row, length `cols + 1`.
-    pivot_row: Vec<f64>,
+    t: Tableau,
     /// Cost vector of the current phase, length `cols`.
     cost: Vec<f64>,
-    /// Basic variable (column index) of each row.
-    basis: Vec<usize>,
-    /// Per-row normalization info.
-    rows: Vec<RowInfo>,
 }
 
 impl SimplexWorkspace {
@@ -61,8 +86,9 @@ impl SimplexWorkspace {
     }
 }
 
-/// Dense simplex tableau over a workspace's buffers.
-struct Tableau<'w> {
+/// Simplex tableau.
+#[derive(Debug, Default)]
+struct Tableau {
     /// Number of rows (constraints).
     m: usize,
     /// Total number of columns excluding the RHS.
@@ -71,21 +97,27 @@ struct Tableau<'w> {
     n_struct: usize,
     /// First artificial column index (artificials occupy `art_start..cols`).
     art_start: usize,
+    /// Pivot count after which [`iterate`] switches to Bland's rule. Fixed
+    /// by the tableau as built; compacting the artificials out leaves it be.
+    bland_threshold: usize,
     /// Row-major matrix of size `m x (cols + 1)`; the last entry of each row
     /// is the right-hand side.
-    a: &'w mut [f64],
+    a: Vec<f64>,
     /// Reduced-cost row of size `cols + 1` (last entry is the negated
     /// objective value of the current basis).
-    obj: &'w mut [f64],
+    obj: Vec<f64>,
     /// Scratch copy of the pivot row, size `cols + 1`.
-    pivot_row: &'w mut [f64],
+    pivot_row: Vec<f64>,
+    /// Columns of the non-zero entries of `pivot_row`, RHS included; only
+    /// a prefix is live after each pivot.
+    nz: Vec<u32>,
     /// Basic variable (column index) of each row.
-    basis: &'w mut [usize],
+    basis: Vec<usize>,
     /// Per-row normalization info.
-    rows: &'w mut [RowInfo],
+    rows: Vec<RowInfo>,
 }
 
-impl Tableau<'_> {
+impl Tableau {
     #[inline]
     fn at(&self, r: usize, c: usize) -> f64 {
         self.a[r * (self.cols + 1) + c]
@@ -111,11 +143,21 @@ impl Tableau<'_> {
         }
         self.a[pr_start + pivot_col] = 1.0;
 
-        // Eliminate the pivot column from every other row.
-        // Split borrows by copying the pivot row once; the copy is reused for
-        // the objective row as well.
+        // Split borrows by copying the pivot row once; the copy is reused
+        // for the objective row as well.
         self.pivot_row
             .copy_from_slice(&self.a[pr_start..pr_start + w]);
+        let pivot = &self.pivot_row[..];
+        // A row without a `-0.0` gains one only from a negative pivot
+        // (`+0.0 * inv`) or from a pivot above 1 underflowing a tiny
+        // negative entry; `inv >= 1` rules out both.
+        if inv < 1.0 && pivot.iter().any(|x| x.to_bits() == NEG_ZERO) {
+            self.rows[pivot_row].neg_zero = true;
+        }
+
+        let mut updated = 0;
+        let mut sparse = false;
+        let mut len = 0;
         for r in 0..self.m {
             if r == pivot_row {
                 continue;
@@ -126,14 +168,27 @@ impl Tableau<'_> {
                 row[pivot_col] = 0.0;
                 continue;
             }
-            for (x, &pv) in row.iter_mut().zip(self.pivot_row.iter()) {
-                *x -= factor * pv;
+            updated += 1;
+            if updated == SPARSE_AFTER {
+                len = collect_nonzeros(pivot, &mut self.nz);
+                sparse = len * DENSE_DIV <= w;
+            }
+            if sparse && !self.rows[r].neg_zero {
+                for &j in &self.nz[..len] {
+                    let j = j as usize;
+                    row[j] -= factor * pivot[j];
+                }
+            } else {
+                for (x, &pv) in row.iter_mut().zip(pivot) {
+                    *x -= factor * pv;
+                }
             }
             row[pivot_col] = 0.0;
         }
+        // The reduced-cost row stays dense (its zero costs are `-0.0`).
         let factor = self.obj[pivot_col];
         if factor.abs() > EPS {
-            for (o, &pv) in self.obj.iter_mut().zip(self.pivot_row.iter()) {
+            for (o, &pv) in self.obj.iter_mut().zip(pivot) {
                 *o -= factor * pv;
             }
         }
@@ -221,6 +276,135 @@ impl Tableau<'_> {
         }
         best_row
     }
+
+    /// Removes the artificial columns from every row in place and releases
+    /// the freed memory. Phase 2 never reads them: artificials cannot
+    /// re-enter, and each column's updates depend only on that column and
+    /// the pivot column. Only the duals of `≥`/`=` rows read them, which is
+    /// why a sweep reports no duals.
+    fn compact(&mut self) {
+        let w = self.cols + 1;
+        let keep = self.art_start;
+        let nw = keep + 1;
+        // Row r moves from `r * w` down to `r * nw`; rows are moved in
+        // increasing order, so no row is overwritten before it moves.
+        for r in 0..self.m {
+            self.a.copy_within(r * w..r * w + keep, r * nw);
+            self.a[r * nw + keep] = self.a[r * w + self.cols];
+        }
+        self.a.truncate(self.m * nw);
+        self.a.shrink_to_fit();
+        self.obj.truncate(nw);
+        self.pivot_row.truncate(nw);
+        self.nz.truncate(nw);
+        self.cols = keep;
+    }
+
+    /// The primal solution and its objective value `objective · x`.
+    fn primal(&self, objective: &[f64]) -> (f64, Vec<f64>) {
+        // alloc: the primal vector is the caller's result, one per solve.
+        let mut primal = vec![0.0; self.n_struct];
+        for r in 0..self.m {
+            if !self.rows[r].active {
+                continue;
+            }
+            let b = self.basis[r];
+            if b < self.n_struct {
+                // Clamp tiny negative values introduced by rounding.
+                primal[b] = self.rhs(r).max(0.0);
+            }
+        }
+        let mut value = 0.0;
+        for (j, &cj) in objective.iter().enumerate() {
+            value += cj * primal[j];
+        }
+        (value, primal)
+    }
+
+    /// The dual value of every row, read from the reduced-cost row.
+    ///
+    /// For the internal maximization problem, the dual of row i is the
+    /// reduced cost of its logical column. Negated rows and minimization
+    /// problems (`flip = -1`) flip the sign back to the user's convention.
+    fn duals(&self, flip: f64) -> Vec<f64> {
+        // alloc: the dual vector is the caller's result, one per solve.
+        let mut dual = vec![0.0; self.m];
+        for (r, row) in self.rows.iter().enumerate() {
+            if !row.active {
+                continue;
+            }
+            let mut y = self.obj[row.logical_col];
+            if row.negated {
+                y = -y;
+            }
+            y *= flip;
+            dual[r] = y;
+        }
+        dual
+    }
+}
+
+/// The post-phase-1 state of a compacted tableau, kept sparsely so a sweep
+/// can restart phase 2 from it once per objective. Phase 2 changes only the
+/// tableau entries and the basis, so those are what it holds. (It never
+/// changes the rows' active flags, and only ever sets `neg_zero` flags; a
+/// needlessly set one costs a full-width update, never a different bit.)
+struct Snapshot {
+    /// Flat tableau indices of the entries whose bits are not `+0.0`
+    /// (a `-0.0` is kept, so a restore is bit-exact).
+    index: Vec<u32>,
+    /// The values at `index`.
+    value: Vec<f64>,
+    /// Basic variable of each row.
+    basis: Vec<usize>,
+    /// Pivots phase 1 took.
+    iterations: usize,
+}
+
+impl Snapshot {
+    fn take(t: &Tableau, iterations: usize) -> Snapshot {
+        let nnz = t.a.iter().filter(|x| x.to_bits() != 0).count();
+        // alloc: one snapshot per sweep, sized exactly.
+        let mut index = Vec::with_capacity(nnz);
+        // alloc: one snapshot per sweep, sized exactly.
+        let mut value = Vec::with_capacity(nnz);
+        for (i, &x) in t.a.iter().enumerate() {
+            if x.to_bits() != 0 {
+                index.push(i as u32);
+                value.push(x);
+            }
+        }
+        Snapshot {
+            index,
+            value,
+            // alloc: one snapshot per sweep.
+            basis: t.basis.to_vec(),
+            iterations,
+        }
+    }
+
+    fn restore(&self, t: &mut Tableau) {
+        t.a.fill(0.0);
+        for (&i, &x) in self.index.iter().zip(&self.value) {
+            t.a[i as usize] = x;
+        }
+        t.basis.copy_from_slice(&self.basis);
+    }
+}
+
+/// Writes the columns of `row`'s non-zero entries to the front of `nz`
+/// and returns their count.
+fn collect_nonzeros(row: &[f64], nz: &mut [u32]) -> usize {
+    let nz = &mut nz[..row.len()];
+    let mut len = 0;
+    // Branch-free: every column is written, the count advances past the
+    // non-zero ones only.
+    for (j, &x) in row.iter().enumerate() {
+        nz[len] = j as u32;
+        // float-eq: exact-zero test; a zero of either sign is skipped.
+        len += usize::from(x != 0.0);
+    }
+    len
 }
 
 /// Resets `buf` to `len` copies of `value`, keeping its allocation.
@@ -229,16 +413,9 @@ fn refill<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
     buf.resize(len, value);
 }
 
-/// Builds the initial tableau from a validated problem in a workspace's
-/// buffers, overwriting whatever an earlier solve left there.
-fn build_tableau<'w>(
-    p: &LpProblem,
-    a: &'w mut Vec<f64>,
-    obj: &'w mut Vec<f64>,
-    pivot_row: &'w mut Vec<f64>,
-    basis: &'w mut Vec<usize>,
-    rows: &'w mut Vec<RowInfo>,
-) -> Tableau<'w> {
+/// Builds the initial tableau of a validated problem in `t`'s buffers,
+/// overwriting whatever an earlier solve left there.
+fn build_tableau(p: &LpProblem, t: &mut Tableau) {
     let m = p.num_constraints();
     let n = p.num_vars();
 
@@ -262,10 +439,27 @@ fn build_tableau<'w>(
     let art_start = n + n_slack;
     let cols = n + n_slack + n_art;
     let w = cols + 1;
+    // Column indices (and flat indices in a sweep's snapshot) are u32.
+    assert!(u32::try_from(m * w).is_ok(), "tableau exceeds 2^32 entries");
+    t.m = m;
+    t.cols = cols;
+    t.n_struct = n;
+    t.art_start = art_start;
+    t.bland_threshold = 8 * (m + cols) + 64;
 
+    let Tableau {
+        a,
+        obj,
+        pivot_row,
+        nz,
+        basis,
+        rows,
+        ..
+    } = t;
     refill(a, m * w, 0.0);
     refill(obj, w, 0.0);
     refill(pivot_row, w, 0.0);
+    refill(nz, w, 0);
     refill(basis, m, 0);
     rows.clear();
 
@@ -311,19 +505,9 @@ fn build_tableau<'w>(
             logical_col,
             negated,
             active: true,
+            // Every other entry of a fresh row is non-zero or `+0.0`.
+            neg_zero: rhs.to_bits() == NEG_ZERO,
         });
-    }
-
-    Tableau {
-        m,
-        cols,
-        n_struct: n,
-        art_start,
-        a,
-        obj,
-        pivot_row,
-        basis,
-        rows,
     }
 }
 
@@ -339,16 +523,24 @@ fn effective_op(op: ConstraintOp, rhs: f64) -> ConstraintOp {
     }
 }
 
+/// The factor that turns the user's objective into the internal
+/// maximization (and the internal duals back).
+fn flip(sense: Sense) -> f64 {
+    match sense {
+        Sense::Maximize => 1.0,
+        Sense::Minimize => -1.0,
+    }
+}
+
 /// Runs simplex iterations until optimality for the current reduced-cost row.
 /// `limit` restricts the entering columns (used to exclude artificials in
 /// phase 2). Returns the number of pivots, or an error on unboundedness /
 /// iteration exhaustion.
 fn iterate(t: &mut Tableau, limit: usize, max_iters: usize) -> Result<usize, LpError> {
     let mut iters = 0usize;
-    // Switch to Bland's rule once we have done "suspiciously many" pivots.
-    let bland_threshold = 8 * (t.m + t.cols) + 64;
     loop {
-        let bland = iters > bland_threshold;
+        // Switch to Bland's rule once we have done "suspiciously many" pivots.
+        let bland = iters > t.bland_threshold;
         let Some(col) = t.choose_entering(limit, bland) else {
             return Ok(iters);
         };
@@ -363,125 +555,137 @@ fn iterate(t: &mut Tableau, limit: usize, max_iters: usize) -> Result<usize, LpE
     }
 }
 
-/// Solves `p` with the two-phase simplex method, in `ws`'s buffers.
-pub fn solve(p: &LpProblem, ws: &mut SimplexWorkspace) -> Result<LpSolution, LpError> {
-    let SimplexWorkspace {
-        a,
-        obj,
-        pivot_row,
-        cost,
-        basis,
-        rows,
-    } = ws;
-    let mut t = build_tableau(p, a, obj, pivot_row, basis, rows);
-    let max_iters = p.max_iterations();
-    let mut total_iters = 0usize;
+/// Phase 1: drives the artificial variables to zero, then pivots the
+/// remaining (zero-valued) artificials out of the basis where possible and
+/// drops the rows where not. Reads no objective. Returns the pivot count.
+fn phase1(t: &mut Tableau, cost: &mut Vec<f64>, max_iters: usize) -> Result<usize, LpError> {
+    if t.art_start == t.cols {
+        return Ok(0);
+    }
+    refill(cost, t.cols, 0.0);
+    for cj in cost.iter_mut().skip(t.art_start) {
+        *cj = -1.0; // maximize −Σ artificials
+    }
+    t.rebuild_objective(cost);
+    let all_cols = t.cols;
+    let iters = iterate(t, all_cols, max_iters)?;
 
-    // ---- Phase 1: drive artificial variables to zero. ------------------
-    let has_artificials = t.art_start < t.cols;
-    if has_artificials {
-        refill(cost, t.cols, 0.0);
-        for cj in cost.iter_mut().skip(t.art_start) {
-            *cj = -1.0; // maximize −Σ artificials
-        }
-        t.rebuild_objective(cost);
-        let all_cols = t.cols;
-        total_iters += iterate(&mut t, all_cols, max_iters)?;
-
-        // Objective value of the phase-1 problem is stored implicitly; we
-        // evaluate it directly as −Σ (artificial basic values).
-        let mut art_sum = 0.0;
-        for r in 0..t.m {
-            if t.basis[r] >= t.art_start {
-                art_sum += t.rhs(r);
-            }
-        }
-        if art_sum > 1e-7 {
-            return Err(LpError::Infeasible);
-        }
-
-        // Pivot remaining (zero-valued) artificials out of the basis where
-        // possible; rows that cannot be pivoted are redundant and dropped.
-        for r in 0..t.m {
-            if t.basis[r] < t.art_start {
-                continue;
-            }
-            let mut pivot_col = None;
-            for j in 0..t.art_start {
-                if t.at(r, j).abs() > 1e-7 {
-                    pivot_col = Some(j);
-                    break;
-                }
-            }
-            match pivot_col {
-                Some(j) => t.pivot(r, j),
-                None => t.rows[r].active = false,
-            }
+    // Objective value of the phase-1 problem is stored implicitly; we
+    // evaluate it directly as −Σ (artificial basic values).
+    let mut art_sum = 0.0;
+    for r in 0..t.m {
+        if t.basis[r] >= t.art_start {
+            art_sum += t.rhs(r);
         }
     }
+    if art_sum > 1e-7 {
+        return Err(LpError::Infeasible);
+    }
 
-    // ---- Phase 2: optimize the user objective. --------------------------
-    let flip = match p.sense() {
-        Sense::Maximize => 1.0,
-        Sense::Minimize => -1.0,
-    };
+    // Pivot remaining (zero-valued) artificials out of the basis where
+    // possible; rows that cannot be pivoted are redundant and dropped.
+    for r in 0..t.m {
+        if t.basis[r] < t.art_start {
+            continue;
+        }
+        let mut pivot_col = None;
+        for j in 0..t.art_start {
+            if t.at(r, j).abs() > 1e-7 {
+                pivot_col = Some(j);
+                break;
+            }
+        }
+        match pivot_col {
+            Some(j) => t.pivot(r, j),
+            None => t.rows[r].active = false,
+        }
+    }
+    Ok(iters)
+}
+
+/// Phase 2: optimizes `objective` (in the user's sense, `flip`) from the
+/// feasible basis phase 1 left. Returns the pivot count.
+fn phase2(
+    t: &mut Tableau,
+    cost: &mut Vec<f64>,
+    objective: &[f64],
+    flip: f64,
+    max_iters: usize,
+) -> Result<usize, LpError> {
     refill(cost, t.cols, 0.0);
-    for (c, &cj) in cost.iter_mut().zip(p.objective()) {
+    for (c, &cj) in cost.iter_mut().zip(objective) {
         *c = cj * flip;
     }
     t.rebuild_objective(cost);
     // Artificial columns must never re-enter the basis.
     let struct_and_slack = t.art_start;
-    total_iters += iterate(&mut t, struct_and_slack, max_iters)?;
+    iterate(t, struct_and_slack, max_iters)
+}
 
-    // ---- Extract primal solution. ---------------------------------------
-    // alloc: the primal vector is the caller's result, one per solve.
-    let mut primal = vec![0.0; t.n_struct];
-    for r in 0..t.m {
-        if !t.rows[r].active {
-            continue;
-        }
-        let b = t.basis[r];
-        if b < t.n_struct {
-            // Clamp tiny negative values introduced by rounding.
-            primal[b] = t.rhs(r).max(0.0);
-        }
-    }
-
-    let mut objective = 0.0;
-    for (j, &cj) in p.objective().iter().enumerate() {
-        objective += cj * primal[j];
-    }
-
-    // ---- Extract dual values from the reduced-cost row. -----------------
-    // For the internal maximization problem, the dual of row i is the
-    // reduced cost of its logical column. Negated rows and minimization
-    // problems flip the sign back to the user's convention.
-    // alloc: the dual vector is the caller's result, one per solve.
-    let mut dual = vec![0.0; t.m];
-    for (r, row) in t.rows.iter().enumerate() {
-        if !row.active {
-            continue;
-        }
-        let mut y = t.obj[row.logical_col];
-        if row.negated {
-            y = -y;
-        }
-        y *= flip;
-        dual[r] = y;
-    }
-
+/// Solves `p` with the two-phase simplex method, in `ws`'s buffers.
+pub(crate) fn solve(p: &LpProblem, ws: &mut SimplexWorkspace) -> Result<LpSolution, LpError> {
+    let SimplexWorkspace { t, cost } = ws;
+    build_tableau(p, t);
+    let max_iters = p.max_iterations();
+    let flip = flip(p.sense());
+    let phase1_iters = phase1(t, cost, max_iters)?;
+    let phase2_iters = phase2(t, cost, p.objective(), flip, max_iters)?;
+    let (objective, primal) = t.primal(p.objective());
     Ok(LpSolution {
         status: LpStatus::Optimal,
         objective,
         primal,
-        dual,
-        iterations: total_iters,
+        dual: t.duals(flip),
+        iterations: phase1_iters + phase2_iters,
     })
+}
+
+/// Solves `p`'s constraints under every objective in `objectives`, running
+/// phase 1 once (see the module docs). Each result equals what
+/// [`solve`] returns for `p` with that objective, less the duals.
+/// `p` is taken by value so its constraints are freed once the tableau
+/// holds them.
+pub(crate) fn sweep(
+    p: LpProblem,
+    objectives: &[Vec<f64>],
+    ws: &mut SimplexWorkspace,
+) -> Vec<Result<SweepSolution, LpError>> {
+    let SimplexWorkspace { t, cost } = ws;
+    let max_iters = p.max_iterations();
+    let flip = flip(p.sense());
+    // Validation and phase 1 are shared by every objective.
+    let snapshot = match p.validate_constraints() {
+        Ok(()) => {
+            build_tableau(&p, t);
+            drop(p);
+            phase1(t, cost, max_iters).map(|iters| {
+                t.compact();
+                Snapshot::take(t, iters)
+            })
+        }
+        Err(e) => Err(e),
+    };
+    objectives
+        .iter()
+        .map(|c| {
+            crate::problem::validate_objective(c)?;
+            let snapshot = snapshot.as_ref().map_err(Clone::clone)?;
+            snapshot.restore(t);
+            let iters = phase2(t, cost, c, flip, max_iters)?;
+            let (objective, primal) = t.primal(c);
+            Ok(SweepSolution {
+                objective,
+                primal,
+                iterations: snapshot.iterations + iters,
+            })
+        })
+        // alloc: one result per objective.
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
+    use super::{build_tableau, Snapshot, Tableau, NEG_ZERO};
     use crate::{ConstraintOp, LpError, LpProblem, Sense};
 
     fn approx(a: f64, b: f64) -> bool {
@@ -661,5 +865,23 @@ mod tests {
         // The objective must equal c.x and be <= any feasible plan we try.
         let naive = 10.0 * 2.0 + 15.0 * 1.0 + 25.0 * 4.0 + 5.0 * 5.0 + 0.0;
         assert!(sol.objective <= naive + 1e-6);
+    }
+
+    #[test]
+    fn snapshot_restores_every_bit_including_negative_zeros() {
+        let mut lp = LpProblem::new(Sense::Maximize, 2);
+        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Le, -0.0);
+        lp.add_constraint(vec![(0, 1.0), (1, 2.0)], ConstraintOp::Ge, 3.0);
+        let mut t = Tableau::default();
+        build_tableau(&lp, &mut t);
+        let bits = |t: &Tableau| t.a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let before = bits(&t);
+        assert!(before.contains(&NEG_ZERO));
+        let snapshot = Snapshot::take(&t, 0);
+        t.a.fill(7.0);
+        t.basis.fill(9);
+        snapshot.restore(&mut t);
+        assert_eq!(bits(&t), before);
+        assert_eq!(t.basis, snapshot.basis);
     }
 }

@@ -41,6 +41,19 @@ impl LpSolution {
     }
 }
 
+/// One result of a sweep ([`crate::LpProblem::solve_objectives_with`]): an
+/// optimal solution without duals.
+#[derive(Debug, Clone)]
+pub struct SweepSolution {
+    /// Optimal objective value in the *original* sense of the problem.
+    pub objective: f64,
+    /// Optimal values of the decision variables, indexed as in the problem.
+    pub primal: Vec<f64>,
+    /// Number of simplex pivots performed (both phases; phase 1 ran once
+    /// for the whole sweep and is counted in every result).
+    pub iterations: usize,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

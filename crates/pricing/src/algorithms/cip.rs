@@ -23,9 +23,11 @@
 //! from 1 to the maximum degree `B` and keeping the best revenue yields the
 //! `O((1+ε) log B)` guarantee of the paper.
 //!
-//! The capacity LPs share one [`SimplexWorkspace`] for the whole sweep, and
-//! the outcome is memoized on the hypergraph per config (see the
-//! [`Hypergraph`] module docs), so a repeated call — XOS's — solves nothing.
+//! The capacity LPs differ only in their objective, so the whole sweep is
+//! one [`LpProblem::solve_objectives_with`] call: the constraint rows are
+//! built once and phase 1 runs once. The outcome is memoized on the
+//! hypergraph per config (see the [`Hypergraph`] module docs), so a
+//! repeated call — XOS's — solves nothing.
 
 use qp_lp::{ConstraintOp, LpProblem, Sense, SimplexWorkspace};
 
@@ -79,14 +81,11 @@ fn solve_cip(h: &Hypergraph, config: &CipConfig) -> PricingOutcome {
     }
     capacities.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
 
-    let mut ws = SimplexWorkspace::new();
-    for &cap in &capacities {
-        if let Some(weights) = solve_capacity_dual(h, cap, config.max_lp_iterations, &mut ws) {
-            let rev = revenue::item_pricing_revenue(h, &weights);
-            if rev > best_rev {
-                best_rev = rev;
-                best_weights = weights;
-            }
+    for weights in capacity_duals(h, &capacities, config.max_lp_iterations).flatten() {
+        let rev = revenue::item_pricing_revenue(h, &weights);
+        if rev > best_rev {
+            best_rev = rev;
+            best_weights = weights;
         }
     }
 
@@ -101,19 +100,16 @@ fn solve_cip(h: &Hypergraph, config: &CipConfig) -> PricingOutcome {
     }
 }
 
-/// Solves the dual of the capacity-`k` welfare LP and returns the item-price
-/// vector `y` (full length, zeros for items outside every bundle), solving
-/// in the sweep's workspace `ws`.
-pub(crate) fn solve_capacity_dual(
-    h: &Hypergraph,
-    capacity: f64,
+/// Solves the dual of the capacity-`k` welfare LP for every `k` in
+/// `capacities`, as one sweep over shared constraint rows. Returns, in
+/// capacity order, the item-price vector `y` (full length, zeros for items
+/// outside every bundle), or `None` where that LP failed.
+fn capacity_duals<'h>(
+    h: &'h Hypergraph,
+    capacities: &[f64],
     max_iterations: usize,
-    ws: &mut SimplexWorkspace,
-) -> Option<Vec<f64>> {
+) -> impl Iterator<Item = Option<Vec<f64>>> + 'h {
     let active = h.active_items();
-    if h.num_edges() == 0 {
-        return Some(vec![0.0; h.num_items()]);
-    }
     let mut var_of_item: Vec<Option<usize>> = vec![None; h.num_items()];
     for (v, &j) in active.iter().enumerate() {
         var_of_item[j] = Some(v);
@@ -124,12 +120,6 @@ pub(crate) fn solve_capacity_dual(
     // Variables: y_0..y_{n_y-1}, then z_0..z_{m-1}.
     let mut lp = LpProblem::new(Sense::Minimize, n_y + m);
     lp.set_max_iterations(max_iterations);
-    for v in 0..n_y {
-        lp.set_objective(v, capacity);
-    }
-    for e in 0..m {
-        lp.set_objective(n_y + e, 1.0);
-    }
     for (ei, e) in h.edges().iter().enumerate() {
         let mut coeffs: Vec<(usize, f64)> = e
             .items
@@ -139,13 +129,26 @@ pub(crate) fn solve_capacity_dual(
         coeffs.push((n_y + ei, 1.0));
         lp.add_constraint(coeffs, ConstraintOp::Ge, e.valuation);
     }
+    // Objective `k·Σ y + Σ z` per capacity.
+    let objectives: Vec<Vec<f64>> = capacities
+        .iter()
+        .map(|&k| {
+            let mut c = vec![1.0; n_y + m];
+            c[..n_y].fill(k);
+            c
+        })
+        .collect();
 
-    let sol = lp.solve_with(ws).ok()?;
-    let mut weights = vec![0.0; h.num_items()];
-    for (v, &j) in active.iter().enumerate() {
-        weights[j] = sol.primal[v].max(0.0);
-    }
-    Some(weights)
+    lp.solve_objectives_with(&objectives, &mut SimplexWorkspace::new())
+        .into_iter()
+        .map(|sol| {
+            let sol = sol.ok()?;
+            let mut weights = vec![0.0; h.num_items()];
+            for (v, &j) in active.iter().enumerate() {
+                weights[j] = sol.primal[v].max(0.0);
+            }
+            Some(weights)
+        })
 }
 
 #[cfg(test)]
@@ -184,7 +187,7 @@ mod tests {
         // z_e = 0, the item prices cover the valuation. We simply check the
         // returned prices are non-negative and finite.
         let h = test_support::small();
-        let w = solve_capacity_dual(&h, 2.0, 100_000, &mut SimplexWorkspace::new()).unwrap();
+        let w = capacity_duals(&h, &[2.0], 100_000).next().unwrap().unwrap();
         assert_eq!(w.len(), h.num_items());
         assert!(w.iter().all(|&x| x.is_finite() && x >= 0.0));
     }

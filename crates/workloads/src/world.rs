@@ -105,24 +105,82 @@ impl WorldConfig {
 
 /// Country code of country `i` (three uppercase letters, unique).
 pub fn country_code(i: usize) -> String {
-    let a = (b'A' + (i / 676) as u8 % 26) as char;
-    let b = (b'A' + (i / 26) as u8 % 26) as char;
-    let c = (b'A' + (i % 26) as u8) as char;
-    format!("{a}{b}{c}")
+    let mut code = String::with_capacity(3);
+    for k in [(i / 676) as u8 % 26, (i / 26) as u8 % 26, (i % 26) as u8] {
+        code.push(char::from(b'A' + k));
+    }
+    code
 }
 
 /// Country name of country `i`.
 pub fn country_name(i: usize) -> String {
-    format!("Country{i:03}")
+    numbered("Country", i, 3)
 }
 
 /// Language name of language `i`.
 pub fn language_name(i: usize) -> String {
-    format!("Language{i:03}")
+    numbered("Language", i, 3)
+}
+
+fn city_name(i: usize) -> String {
+    numbered("City", i, 4)
+}
+
+fn district_name(i: usize) -> String {
+    numbered("District", i, 0)
+}
+
+/// `prefix` then `n` in decimal, zero-padded to `width` digits: what
+/// `format!("{prefix}{n:0width$}")` gives, without the formatting
+/// machinery, which otherwise dominates generation time.
+fn numbered(prefix: &str, n: usize, width: usize) -> String {
+    let mut digits = [0u8; 20];
+    let mut len = 0;
+    let mut rest = n;
+    loop {
+        digits[len] = b'0' + (rest % 10) as u8;
+        len += 1;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let mut name = String::with_capacity(prefix.len() + len.max(width));
+    name.push_str(prefix);
+    for _ in len..width {
+        name.push('0');
+    }
+    for &d in digits[..len].iter().rev() {
+        name.push(char::from(d));
+    }
+    name
+}
+
+/// How [`generate`] spells the names it makes; the tests swap in
+/// `format!` spellings to check the database does not change.
+struct Spelling {
+    country_code: fn(usize) -> String,
+    country_name: fn(usize) -> String,
+    language_name: fn(usize) -> String,
+    city_name: fn(usize) -> String,
+    district_name: fn(usize) -> String,
 }
 
 /// Generates the world database.
 pub fn generate(config: &WorldConfig) -> Database {
+    generate_spelled(
+        config,
+        &Spelling {
+            country_code,
+            country_name,
+            language_name,
+            city_name,
+            district_name,
+        },
+    )
+}
+
+fn generate_spelled(config: &WorldConfig, spell: &Spelling) -> Database {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut db = Database::new();
 
@@ -145,8 +203,8 @@ pub fn generate(config: &WorldConfig) -> Database {
         let population: i64 = rng.gen_range(100_000..200_000_000);
         country
             .push(vec![
-                country_code(i).into(),
-                country_name(i).into(),
+                (spell.country_code)(i).into(),
+                (spell.country_name)(i).into(),
                 continent.into(),
                 region.into(),
                 Value::Float(rng.gen_range(1_000.0..2_000_000.0)),
@@ -172,9 +230,9 @@ pub fn generate(config: &WorldConfig) -> Database {
         let owner = rng.gen_range(0..config.countries);
         city.push(vec![
             Value::Int(i as i64),
-            format!("City{i:04}").into(),
-            country_code(owner).into(),
-            format!("District{}", i % 40).into(),
+            (spell.city_name)(i).into(),
+            (spell.country_code)(owner).into(),
+            (spell.district_name)(i % 40).into(),
             Value::Int(rng.gen_range(5_000..12_000_000)),
         ])
         .expect("city tuple arity");
@@ -191,9 +249,9 @@ pub fn generate(config: &WorldConfig) -> Database {
     let mut lang = Relation::new(lang_schema);
     for i in 0..config.country_languages {
         let owner = i % config.countries;
-        let language = language_name((i * 13 + owner) % NUM_LANGUAGES);
+        let language = (spell.language_name)((i * 13 + owner) % NUM_LANGUAGES);
         lang.push(vec![
-            country_code(owner).into(),
+            (spell.country_code)(owner).into(),
             language.into(),
             if rng.gen_bool(0.3) {
                 "T".into()
@@ -241,6 +299,42 @@ mod tests {
             .map(|t| db.table(t).unwrap().schema().arity())
             .sum();
         assert_eq!(total_cols, 9 + 5 + 4);
+    }
+
+    /// The `format!` spellings the hand-written names replace.
+    fn format_spelling() -> Spelling {
+        Spelling {
+            country_code: |i| {
+                let a = (b'A' + (i / 676) as u8 % 26) as char;
+                let b = (b'A' + (i / 26) as u8 % 26) as char;
+                let c = (b'A' + (i % 26) as u8) as char;
+                format!("{a}{b}{c}")
+            },
+            country_name: |i| format!("Country{i:03}"),
+            language_name: |i| format!("Language{i:03}"),
+            city_name: |i| format!("City{i:04}"),
+            district_name: |i| format!("District{i}"),
+        }
+    }
+
+    #[test]
+    fn names_match_their_format_spelling() {
+        let reference = format_spelling();
+        for i in 0..20_000 {
+            assert_eq!(country_code(i), (reference.country_code)(i));
+            assert_eq!(country_name(i), (reference.country_name)(i));
+            assert_eq!(language_name(i), (reference.language_name)(i));
+            assert_eq!(city_name(i), (reference.city_name)(i));
+            assert_eq!(district_name(i), (reference.district_name)(i));
+        }
+    }
+
+    #[test]
+    fn generate_matches_the_format_spelling_at_every_scale() {
+        for scale in [Scale::Test, Scale::Quick, Scale::Full] {
+            let cfg = WorldConfig::at_scale(scale);
+            assert_eq!(generate(&cfg), generate_spelled(&cfg, &format_spelling()));
+        }
     }
 
     #[test]
