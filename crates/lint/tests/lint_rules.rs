@@ -82,6 +82,7 @@ fn alloc_kernel_rule_fires_exactly_where_seeded() {
     for kernel in [
         "crates/pricing/src/algorithms/incremental.rs",
         "crates/lp/src/simplex.rs",
+        "crates/pricing/src/algorithms/lpip.rs",
     ] {
         let v = lint_source(kernel, src);
         assert_eq!(fired(&v).len(), 3, "{kernel} is a kernel module");
@@ -89,6 +90,7 @@ fn alloc_kernel_rule_fires_exactly_where_seeded() {
     // The same source is fine anywhere outside the kernel modules.
     assert!(lint_source("crates/core/src/arena.rs", src).is_empty());
     assert!(lint_source("crates/market/src/broker.rs", src).is_empty());
+    assert!(lint_source("crates/pricing/src/algorithms/cip.rs", src).is_empty());
 }
 
 #[test]

@@ -13,6 +13,15 @@
 //! objectives over fixed constraints ([`LpProblem::solve_objectives_with`],
 //! CIP's capacities) runs phase 1 only once.
 //!
+//! An [`LpProblem`] stores its rows flat: one coefficient list for all
+//! rows plus each row's end, operator and right-hand side, and
+//! [`LpProblem::constraints`] yields borrowed [`Constraint`] views. A
+//! caller that builds many LPs in turn (LPIP's thresholds) empties one
+//! problem with [`LpProblem::clear`] and refills it, and
+//! [`LpProblem::reserve`] and [`SimplexWorkspace::reserve`] size every
+//! buffer for the largest LP up front, so a warm sweep allocates only the
+//! solver's result vectors.
+//!
 //! The solver targets the problem shapes that appear in query pricing
 //! (hundreds of constraints, a few thousand variables) and favours
 //! correctness and clarity over industrial-strength numerics. All arithmetic

@@ -23,27 +23,42 @@ pub enum ConstraintOp {
 }
 
 /// A single linear constraint `aᵀx op b`, with `a` stored sparsely as
-/// `(variable, coefficient)` pairs.
-#[derive(Debug, Clone)]
-pub struct Constraint {
+/// `(variable, coefficient)` pairs: a borrowed view of one row of an
+/// [`LpProblem`].
+#[derive(Debug, Clone, Copy)]
+pub struct Constraint<'a> {
     /// Sparse coefficient vector; indices refer to problem variables.
-    pub coeffs: Vec<(usize, f64)>,
+    pub coeffs: &'a [(usize, f64)],
     /// Relational operator.
     pub op: ConstraintOp,
     /// Right-hand side.
     pub rhs: f64,
 }
 
+/// Where one row's coefficients end in [`LpProblem`]'s flat coefficient
+/// list, with the row's operator and right-hand side.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    end: usize,
+    op: ConstraintOp,
+    rhs: f64,
+}
+
 /// A linear program over non-negative variables.
 ///
 /// Variables are indexed `0..num_vars` and implicitly satisfy `x ≥ 0`.
-/// Objective coefficients default to zero.
+/// Objective coefficients default to zero. The rows are stored flat — one
+/// coefficient list for all of them — so [`LpProblem::clear`] and a refill
+/// reuse every buffer, and [`LpProblem::reserve`] sizes them up front.
 #[derive(Debug, Clone)]
 pub struct LpProblem {
     sense: Sense,
     num_vars: usize,
     objective: Vec<f64>,
-    constraints: Vec<Constraint>,
+    /// Every row's coefficients, back to back; row `i` owns
+    /// `coeffs[rows[i - 1].end..rows[i].end]`.
+    coeffs: Vec<(usize, f64)>,
+    rows: Vec<Row>,
     max_iterations: usize,
 }
 
@@ -54,7 +69,8 @@ impl LpProblem {
             sense,
             num_vars,
             objective: vec![0.0; num_vars],
-            constraints: Vec::new(),
+            coeffs: Vec::new(),
+            rows: Vec::new(),
             // Generous default: simplex rarely needs more than a few multiples
             // of (rows + cols) pivots on non-degenerate pricing LPs.
             max_iterations: 200_000,
@@ -68,7 +84,7 @@ impl LpProblem {
 
     /// Number of constraints added so far.
     pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
+        self.rows.len()
     }
 
     /// Optimization sense.
@@ -81,9 +97,17 @@ impl LpProblem {
         &self.objective
     }
 
-    /// The constraints added so far.
-    pub fn constraints(&self) -> &[Constraint] {
-        &self.constraints
+    /// The constraints added so far, in order.
+    pub fn constraints(&self) -> impl ExactSizeIterator<Item = Constraint<'_>> + Clone + '_ {
+        (0..self.rows.len()).map(move |i| {
+            let start = i.checked_sub(1).map_or(0, |prev| self.rows[prev].end);
+            let row = self.rows[i];
+            Constraint {
+                coeffs: &self.coeffs[start..row.end],
+                op: row.op,
+                rhs: row.rhs,
+            }
+        })
     }
 
     /// Overrides the pivot-iteration budget.
@@ -114,12 +138,39 @@ impl LpProblem {
     /// Adds a constraint; returns its index (used to look up dual values).
     pub fn add_constraint(
         &mut self,
-        coeffs: Vec<(usize, f64)>,
+        coeffs: impl IntoIterator<Item = (usize, f64)>,
         op: ConstraintOp,
         rhs: f64,
     ) -> usize {
-        self.constraints.push(Constraint { coeffs, op, rhs });
-        self.constraints.len() - 1
+        self.coeffs.extend(coeffs);
+        self.rows.push(Row {
+            end: self.coeffs.len(),
+            op,
+            rhs,
+        });
+        self.rows.len() - 1
+    }
+
+    /// Empties the problem to `num_vars` variables with a zero objective
+    /// and no constraints, keeping its sense, pivot budget and buffers.
+    /// Refilled, it is indistinguishable from a fresh
+    /// [`LpProblem::new`] with the same budget and solves to the same
+    /// bits.
+    pub fn clear(&mut self, num_vars: usize) {
+        self.num_vars = num_vars;
+        self.objective.clear();
+        self.objective.resize(num_vars, 0.0);
+        self.coeffs.clear();
+        self.rows.clear();
+    }
+
+    /// Grows the buffers to hold `num_vars` variables, `rows` constraints
+    /// and `nonzeros` coefficients in all, so clearing and refilling the
+    /// problem up to that size allocates nothing.
+    pub fn reserve(&mut self, num_vars: usize, rows: usize, nonzeros: usize) {
+        reserve_total(&mut self.objective, num_vars);
+        reserve_total(&mut self.rows, rows);
+        reserve_total(&mut self.coeffs, nonzeros);
     }
 
     /// Validates indices and finiteness of all coefficients.
@@ -130,11 +181,11 @@ impl LpProblem {
 
     /// [`LpProblem::validate`] without the objective.
     pub(crate) fn validate_constraints(&self) -> Result<(), LpError> {
-        for cons in &self.constraints {
+        for cons in self.constraints() {
             if !cons.rhs.is_finite() {
                 return Err(LpError::NonFiniteCoefficient);
             }
-            for &(j, a) in &cons.coeffs {
+            for &(j, a) in cons.coeffs {
                 if j >= self.num_vars {
                     return Err(LpError::VariableOutOfRange {
                         index: j,
@@ -204,6 +255,11 @@ impl LpProblem {
     }
 }
 
+/// Grows `buf`'s capacity to at least `len` elements in all.
+pub(crate) fn reserve_total<T>(buf: &mut Vec<T>, len: usize) {
+    buf.reserve_exact(len.saturating_sub(buf.len()));
+}
+
 /// Checks that every objective coefficient is finite.
 pub(crate) fn validate_objective(c: &[f64]) -> Result<(), LpError> {
     if c.iter().all(|x| x.is_finite()) {
@@ -226,6 +282,54 @@ mod tests {
         assert_eq!(idx, 0);
         assert_eq!(lp.num_constraints(), 1);
         assert_eq!(lp.sense(), Sense::Minimize);
+    }
+
+    #[test]
+    fn constraints_are_views_of_the_flat_rows() {
+        let mut lp = LpProblem::new(Sense::Maximize, 3);
+        lp.add_constraint(vec![(0, 1.0), (2, 2.0)], ConstraintOp::Le, 4.0);
+        lp.add_constraint([], ConstraintOp::Ge, 0.0);
+        lp.add_constraint((1..3).map(|j| (j, 3.0)), ConstraintOp::Eq, 5.0);
+        let rows: Vec<_> = lp
+            .constraints()
+            .map(|c| (c.coeffs.to_vec(), c.op, c.rhs))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                (vec![(0, 1.0), (2, 2.0)], ConstraintOp::Le, 4.0),
+                (vec![], ConstraintOp::Ge, 0.0),
+                (vec![(1, 3.0), (2, 3.0)], ConstraintOp::Eq, 5.0),
+            ]
+        );
+        assert_eq!(lp.constraints().len(), 3);
+    }
+
+    #[test]
+    fn clear_keeps_sense_budget_and_capacity() {
+        let mut lp = LpProblem::new(Sense::Minimize, 4);
+        lp.set_max_iterations(17);
+        lp.reserve(6, 3, 10);
+        lp.set_objective(3, 2.0);
+        lp.add_constraint(vec![(0, 1.0), (3, 1.0)], ConstraintOp::Ge, 1.0);
+        let cap = (
+            lp.objective.capacity(),
+            lp.rows.capacity(),
+            lp.coeffs.capacity(),
+        );
+        assert!(cap.0 >= 6 && cap.1 >= 3 && cap.2 >= 10);
+        lp.clear(6);
+        assert_eq!((lp.num_vars(), lp.num_constraints()), (6, 0));
+        assert_eq!(lp.objective(), &[0.0; 6]);
+        assert_eq!((lp.sense(), lp.max_iterations()), (Sense::Minimize, 17));
+        assert_eq!(
+            (
+                lp.objective.capacity(),
+                lp.rows.capacity(),
+                lp.coeffs.capacity()
+            ),
+            cap
+        );
     }
 
     #[test]

@@ -259,14 +259,14 @@ fn build_tableau<'w>(
     let mut next_slack = slack_start;
     let mut next_art = art_start;
 
-    for (i, c) in p.constraints().iter().enumerate() {
+    for (i, c) in p.constraints().enumerate() {
         let negated = c.rhs < 0.0;
         let sign = if negated { -1.0 } else { 1.0 };
         let rhs = c.rhs * sign;
         let op = effective_op(c.op, c.rhs);
 
         let start = i * w;
-        for &(j, v) in &c.coeffs {
+        for &(j, v) in c.coeffs {
             a[start + j] += v * sign;
         }
         a[start + cols] = rhs;

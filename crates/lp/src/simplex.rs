@@ -29,6 +29,7 @@
 //! compacted out of the tableau, the post-phase-1 state is kept as a sparse
 //! snapshot, and each objective restores the snapshot and runs phase 2.
 
+use crate::problem::reserve_total;
 use crate::{ConstraintOp, LpError, LpProblem, LpSolution, LpStatus, Sense, SweepSolution, EPS};
 
 /// Per-row bookkeeping of how the original constraint was normalized.
@@ -83,6 +84,23 @@ impl SimplexWorkspace {
     /// An empty workspace; its buffers are sized by the first solve.
     pub fn new() -> SimplexWorkspace {
         SimplexWorkspace::default()
+    }
+
+    /// Grows the buffers to hold the tableau of a problem with `rows`
+    /// constraints and `cols` columns (its variables plus one slack or
+    /// surplus column per `≤`/`≥` row and one artificial column per `≥`/`=`
+    /// row), so a [`LpProblem::solve_with`] up to that size allocates
+    /// nothing but its result vectors.
+    pub fn reserve(&mut self, rows: usize, cols: usize) {
+        let w = cols + 1;
+        let t = &mut self.t;
+        reserve_total(&mut t.a, rows * w);
+        reserve_total(&mut t.obj, w);
+        reserve_total(&mut t.pivot_row, w);
+        reserve_total(&mut t.nz, w);
+        reserve_total(&mut t.basis, rows);
+        reserve_total(&mut t.rows, rows);
+        reserve_total(&mut self.cost, cols);
     }
 }
 
@@ -466,14 +484,14 @@ fn build_tableau(p: &LpProblem, t: &mut Tableau) {
     let mut next_slack = slack_start;
     let mut next_art = art_start;
 
-    for (i, c) in p.constraints().iter().enumerate() {
+    for (i, c) in p.constraints().enumerate() {
         let negated = c.rhs < 0.0;
         let sign = if negated { -1.0 } else { 1.0 };
         let rhs = c.rhs * sign;
         let op = effective_op(c.op, c.rhs);
 
         let start = i * w;
-        for &(j, v) in &c.coeffs {
+        for &(j, v) in c.coeffs {
             a[start + j] += v * sign;
         }
         a[start + cols] = rhs;

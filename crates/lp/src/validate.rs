@@ -57,12 +57,7 @@ pub fn check_solution(p: &LpProblem, sol: &LpSolution) -> Result<(), String> {
 /// Weak-duality / strong-duality check: `bᵀy` must equal the primal objective
 /// at optimality (up to tolerance scaled by the magnitude of the objective).
 pub fn check_strong_duality(p: &LpProblem, sol: &LpSolution) -> Result<(), String> {
-    let by: f64 = p
-        .constraints()
-        .iter()
-        .zip(&sol.dual)
-        .map(|(c, y)| c.rhs * y)
-        .sum();
+    let by: f64 = p.constraints().zip(&sol.dual).map(|(c, y)| c.rhs * y).sum();
     let scale = 1.0 + sol.objective.abs();
     if (by - sol.objective).abs() > 1e-5 * scale {
         return Err(format!(

@@ -9,7 +9,10 @@
 //! * every result of an objective sweep
 //!   ([`LpProblem::solve_objectives_with`]) equals what
 //!   [`LpProblem::solve_with`] returns for that objective — objective value,
-//!   primal and pivot count, or the same error.
+//!   primal and pivot count, or the same error;
+//! * a problem emptied with [`LpProblem::clear`] after a larger one and
+//!   refilled solves exactly like a fresh [`LpProblem`] and like the
+//!   reference, duals included.
 //!
 //! The random LPs mix `≤`/`≥`/`=` rows, negative (and negative-zero)
 //! right-hand sides (a quarter of the rows are stated multiplied by -1) and about 70 % zero coefficients, so they cover
@@ -263,6 +266,44 @@ proptest! {
     }
 
     #[test]
+    fn a_cleared_and_refilled_problem_solves_like_a_fresh_one(
+        first in lp_strategy(),
+        second in lp_strategy(),
+        costs in objective_strategy(32),
+        larger_costs in objective_strategy(32),
+    ) {
+        // The larger problem holds the second one's rows and then the
+        // first one's, over the wider variable set, in the same sense.
+        let larger = Rows {
+            n: first.n.max(second.n),
+            rows: second.rows.iter().chain(&first.rows).cloned().collect(),
+            sense: second.sense,
+            budget: first.budget,
+        };
+        let mut ws = SimplexWorkspace::new();
+        let mut p = larger.problem(&larger_costs[..larger.n]);
+        let _ = p.solve_with(&mut ws);
+        let fresh = second.problem(&costs[..second.n]);
+        p.clear(second.n);
+        p.set_max_iterations(fresh.max_iterations());
+        // `+0.0` costs are left to `clear`.
+        for (j, &c) in costs[..second.n].iter().enumerate() {
+            if c.to_bits() != 0 {
+                p.set_objective(j, c);
+            }
+        }
+        for (coeffs, op, rhs) in &second.rows {
+            p.add_constraint(coeffs.iter().copied(), *op, *rhs);
+        }
+        let refilled = p.solve_with(&mut ws);
+        let reference = reference::solve(&fresh);
+        for (name, expected) in [("fresh", fresh.solve()), ("reference", reference)] {
+            let same = validate::check_same_bits(&expected, &refilled);
+            prop_assert!(same.is_ok(), "refilled vs {}: {:?}", name, same);
+        }
+    }
+
+    #[test]
     fn every_sweep_result_equals_solve_with(
         case in lp_strategy().prop_flat_map(|rows| {
             let n = rows.n;
@@ -510,7 +551,7 @@ fn lpip_lp(h: &Hypergraph, threshold: f64) -> LpProblem {
         }
         if !e.items.is_empty() {
             p.add_constraint(
-                e.items.iter().map(|j| (j, 1.0)).collect(),
+                e.items.iter().map(|j| (j, 1.0)),
                 ConstraintOp::Le,
                 e.valuation,
             );

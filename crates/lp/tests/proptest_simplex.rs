@@ -91,11 +91,7 @@ fn build_mixed(lp: &PackingLp, twist: Twist) -> LpProblem {
             }
             p.set_objective(n, 1.0);
             for (coeffs, rhs) in &lp.rows {
-                p.add_constraint(
-                    coeffs.iter().copied().enumerate().collect(),
-                    ConstraintOp::Le,
-                    *rhs,
-                );
+                p.add_constraint(coeffs.iter().copied().enumerate(), ConstraintOp::Le, *rhs);
             }
             return p;
         }
@@ -103,7 +99,7 @@ fn build_mixed(lp: &PackingLp, twist: Twist) -> LpProblem {
     };
     match twist {
         Twist::Cover(rhs) => {
-            p.add_constraint((0..n).map(|j| (j, 1.0)).collect(), ConstraintOp::Ge, rhs);
+            p.add_constraint((0..n).map(|j| (j, 1.0)), ConstraintOp::Ge, rhs);
         }
         Twist::Pin(rhs) => {
             p.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, rhs);

@@ -270,7 +270,7 @@ fn dense_lp(sense: Sense, vars: usize, rows: usize, op: ConstraintOp, seed: u64)
         lp.set_objective(j, 1.0 + 9.0 * next());
     }
     for _ in 0..rows {
-        let coeffs = (0..vars).map(|j| (j, 0.1 + 4.0 * next())).collect();
+        let coeffs: Vec<_> = (0..vars).map(|j| (j, 0.1 + 4.0 * next())).collect();
         lp.add_constraint(coeffs, op, 5.0 + 20.0 * next());
     }
     lp
@@ -306,11 +306,11 @@ fn mixed_sequence() -> Vec<(&'static str, LpProblem)> {
         equalities.set_objective(j, c);
     }
     for (i, supply) in [20.0, 30.0].into_iter().enumerate() {
-        let row = (0..3).map(|j| (i * 3 + j, 1.0)).collect();
+        let row = (0..3).map(|j| (i * 3 + j, 1.0));
         equalities.add_constraint(row, ConstraintOp::Eq, supply);
     }
     for (j, demand) in [10.0, 25.0, 15.0].into_iter().enumerate() {
-        let col = (0..2).map(|i| (i * 3 + j, 1.0)).collect();
+        let col = (0..2).map(|i| (i * 3 + j, 1.0));
         equalities.add_constraint(col, ConstraintOp::Eq, demand);
     }
 

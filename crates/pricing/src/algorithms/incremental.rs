@@ -26,7 +26,7 @@
 //!   bulk-copied with `extend_from_slice`. A 1% delta against a 10k-rate
 //!   table thus costs a handful of memcpys plus O(|delta| log m) probes
 //!   instead of a 10k-entry branchy walk. The pre-rewrite per-entry walk is
-//!   kept in [`mod@reference`] as the differential oracle
+//!   kept in [`super::reference`] as the differential oracle
 //!   (`tests/differential_merge.rs` proves batch-merge bit-identity) and
 //!   the benchmark baseline.
 //!
@@ -334,7 +334,7 @@ fn rate_key(valuation: f64, size: usize) -> Option<(u64, usize)> {
 /// traffic), and the batch merge moves unaffected runs with three
 /// `extend_from_slice` memcpys instead of walking entries one by one.
 /// Semantically this is exactly the old `Vec<(u64, RateGroup)>` — the
-/// [`mod@reference`] module keeps that form and `tests/differential_merge.rs`
+/// [`super::reference`] module keeps that form and `tests/differential_merge.rs`
 /// proves the two merge paths bit-identical.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RateTable {
@@ -394,7 +394,7 @@ impl RateTable {
     /// the run of base entries below that key is located by
     /// exponential-then-binary search and bulk-copied, and the affected
     /// entry is adjusted in one step. Bit-identical to
-    /// [`reference::merge_rates`], including the desync panic: a batch
+    /// [`super::reference::merge_rates`], including the desync panic: a batch
     /// that removes more than the base plus its own insertions hold at any
     /// key panics — per-entry asserts and the batch-total assert agree
     /// because the old walk applied all additions before any subtraction,
@@ -738,130 +738,10 @@ impl Repricer {
     }
 }
 
-/// Scalar reference implementation of the UIP rate-multiset merge — the
-/// pre-SoA entry-at-a-time walk, kept as the differential oracle for
-/// [`RateTable::merge_batch`] (`tests/differential_merge.rs` and the bench
-/// harness both pit the two against each other). These allocate a fresh
-/// result per call on purpose; do not "fix" them.
-pub mod reference {
-    use super::RateTable;
-
-    /// One run-length entry: how many non-empty bundles share a rate, and
-    /// the sum of their sizes.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct RateEntry {
-        /// Number of bundles at this rate.
-        pub count: usize,
-        /// Summed bundle sizes at this rate.
-        pub sizes: usize,
-    }
-
-    /// The old three-way walk: applies `ins` then `rem` per key, one entry
-    /// at a time, with the per-step underflow asserts the batch form of
-    /// [`RateTable::merge_batch`] collapses into one check per key.
-    pub fn merge_rates(
-        base: &[(u64, RateEntry)],
-        ins: &[(u64, usize)],
-        rem: &[(u64, usize)],
-    ) -> Vec<(u64, RateEntry)> {
-        fn apply_at(
-            out: &mut Vec<(u64, RateEntry)>,
-            ins: &[(u64, usize)],
-            rem: &[(u64, usize)],
-            i: &mut usize,
-            r: &mut usize,
-            k: u64,
-            mut e: RateEntry,
-        ) {
-            while *i < ins.len() && ins[*i].0 == k {
-                e.count += 1;
-                e.sizes += ins[*i].1;
-                *i += 1;
-            }
-            while *r < rem.len() && rem[*r].0 == k {
-                assert!(
-                    e.count > 0 && e.sizes >= rem[*r].1,
-                    "incremental repricer out of sync: removing an untracked rate"
-                );
-                e.count -= 1;
-                e.sizes -= rem[*r].1;
-                *r += 1;
-            }
-            if e.count > 0 {
-                out.push((k, e));
-            }
-        }
-        fn next_delta_key(
-            ins: &[(u64, usize)],
-            rem: &[(u64, usize)],
-            i: usize,
-            r: usize,
-        ) -> Option<u64> {
-            match (ins.get(i), rem.get(r)) {
-                (Some(&(ki, _)), Some(&(kr, _))) => Some(ki.min(kr)),
-                (Some(&(ki, _)), None) => Some(ki),
-                (None, Some(&(kr, _))) => Some(kr),
-                (None, None) => None,
-            }
-        }
-        // alloc: oracle path — a fresh result per call is the point.
-        let mut out: Vec<(u64, RateEntry)> = Vec::with_capacity(base.len() + ins.len());
-        let (mut i, mut r) = (0usize, 0usize);
-        for &(k, e) in base {
-            // Delta keys strictly below this base entry form entries of
-            // their own first.
-            while let Some(next) = next_delta_key(ins, rem, i, r) {
-                if next >= k {
-                    break;
-                }
-                apply_at(
-                    &mut out,
-                    ins,
-                    rem,
-                    &mut i,
-                    &mut r,
-                    next,
-                    RateEntry::default(),
-                );
-            }
-            apply_at(&mut out, ins, rem, &mut i, &mut r, k, e);
-        }
-        while let Some(next) = next_delta_key(ins, rem, i, r) {
-            apply_at(
-                &mut out,
-                ins,
-                rem,
-                &mut i,
-                &mut r,
-                next,
-                RateEntry::default(),
-            );
-        }
-        out
-    }
-
-    /// A [`RateTable`] holding exactly `entries` (sorted by key).
-    pub fn table_from_entries(entries: &[(u64, RateEntry)]) -> RateTable {
-        let mut t = RateTable::new();
-        for &(k, e) in entries {
-            t.push(k, e.count, e.sizes);
-        }
-        t
-    }
-
-    /// A table's entries in the reference AoS form.
-    pub fn entries_from_table(t: &RateTable) -> Vec<(u64, RateEntry)> {
-        t.entries()
-            .map(|(k, count, sizes)| (k, RateEntry { count, sizes }))
-            // alloc: oracle path — a fresh result per call is the point.
-            .collect::<Vec<_>>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{self, uniform_bundle_price, uniform_item_price};
+    use crate::algorithms::{self, reference, uniform_bundle_price, uniform_item_price};
     use crate::HypergraphDelta;
 
     fn graph() -> Hypergraph {

@@ -13,15 +13,54 @@
 //! sell. The uniform item pricing with rate `v_e / |e|` is always feasible for
 //! `LP(e)`, so LPIP weakly improves on UIP for each threshold; the best
 //! outcome across thresholds is returned. Worst-case guarantee `O(log m)`.
-//!
-//! The threshold LPs share one [`SimplexWorkspace`] for the whole sweep, and
-//! the outcome is memoized on the hypergraph per config (see the
+//! The outcome is memoized on the hypergraph per config (see the
 //! [`Hypergraph`] module docs), so a repeated call — XOS's — solves nothing.
+//!
+//! # The two-ended sweep
+//!
+//! The threshold LPs are independent, and sorted from the highest
+//! threshold down their forced sets only grow, so the LPs grow along the
+//! sweep. They run on `min(2, available_parallelism)` workers: the calling
+//! thread claims thresholds from the front, one scoped thread claims them
+//! from the back, and both take their next index from one
+//! `Mutex<Range<usize>>`, so every threshold is solved exactly once and
+//! the workers meet wherever their speeds put them. One worker, or one
+//! threshold, runs the sweep serially without a spawn. On Linux the back
+//! worker first leaves the caller's CPU for the other CPUs it may use.
+//! Where the scheduler does not balance load between CPUs (a cpuset with
+//! `sched_load_balance` off), a new thread otherwise stays on its parent's
+//! CPU, the two workers take turns, and two workers are no faster than
+//! one: there the sweep's speedup rests on this move. Where the scheduler
+//! does balance load, the move only places the thread early.
+//!
+//! *Tie rule.* The serial sweep keeps the first threshold whose revenue
+//! beats every earlier one and 0, the zero pricing's: the lowest index of
+//! a positive maximum. The front worker does the same over its prefix.
+//! The back worker walks its suffix downwards, so an equal revenue (a
+//! lower index) replaces its best, and it ends with its suffix's
+//! lowest-index maximum. The back's result wins only when strictly
+//! greater than the front's, so a back maximum of 0 never wins. The
+//! outcome is therefore the serial sweep's, bit for bit, wherever the
+//! workers meet; every rebuilt LP is the serial sweep's LP too (same
+//! variable and row order, `1.0` coefficients, integer objective counts),
+//! kept as [`crate::algorithms::reference::lp_item_price`].
+//!
+//! *Memory.* Each worker owns one [`LpProblem`] and one
+//! [`SimplexWorkspace`], so at most two tableaus are live. The calling
+//! thread sizes both workers' buffers — forced-edge list, item↔variable
+//! maps, LP rows, tableau, weights — for the last threshold's LP, whose
+//! forced set contains every other's, before the spawn. No buffer grows
+//! mid-sweep (so none grows in the second thread's malloc arena), and a
+//! warm worker allocates only the solver's primal and dual vectors per
+//! threshold.
 
+use std::ops::Range;
+
+use parking_lot::Mutex;
 use qp_lp::{ConstraintOp, LpProblem, Sense, SimplexWorkspace};
 
 use crate::hypergraph::LpPriceMemo;
-use crate::{revenue, Hypergraph, Pricing, PricingOutcome};
+use crate::{revenue, Edge, Hypergraph, Pricing, PricingOutcome};
 
 /// Tuning knobs for LPIP.
 #[derive(Debug, Clone)]
@@ -49,47 +88,56 @@ impl Default for LpipConfig {
 /// threshold and keeping the best. Memoized on `h` per config.
 pub fn lp_item_price(h: &Hypergraph, config: &LpipConfig) -> PricingOutcome {
     let key = (config.max_lps, config.max_lp_iterations);
-    LpPriceMemo::get_or_solve(&h.lp_prices().lpip, key, || solve_lpip(h, config))
+    LpPriceMemo::get_or_solve(&h.lp_prices().lpip, key, || {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(2));
+        lp_item_price_on(h, config, workers)
+    })
 }
 
-/// The LPIP threshold sweep behind [`lp_item_price`].
-fn solve_lpip(h: &Hypergraph, config: &LpipConfig) -> PricingOutcome {
-    let n = h.num_items();
-    let mut best_weights = vec![0.0; n];
-    let mut best_rev = 0.0;
-
-    // Candidate thresholds: distinct valuations in decreasing order.
-    let mut thresholds: Vec<f64> = h.edges().iter().map(|e| e.valuation).collect();
-    thresholds.sort_by(|a, b| b.partial_cmp(a).unwrap());
-    thresholds.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-
-    // Optional subsampling of thresholds.
-    let thresholds: Vec<f64> = match config.max_lps {
-        Some(k) if k > 0 && thresholds.len() > k => {
-            let step = thresholds.len() as f64 / k as f64;
-            (0..k)
-                .map(|i| thresholds[(i as f64 * step) as usize])
-                .collect()
-        }
-        _ => thresholds,
+/// The threshold sweep behind [`lp_item_price`] on exactly `workers`
+/// workers (one, or two from opposite ends), without the memo. The worker
+/// count is the machine's; the crate's tests pick it to drive both paths.
+pub(crate) fn lp_item_price_on(
+    h: &Hypergraph,
+    config: &LpipConfig,
+    workers: usize,
+) -> PricingOutcome {
+    let thresholds = thresholds(h, config.max_lps);
+    let claims = Mutex::new(0..thresholds.len());
+    let sweep = Sweep {
+        h,
+        thresholds: &thresholds,
+        max_iterations: config.max_lp_iterations,
+        claims: &claims,
     };
-
-    let mut ws = SimplexWorkspace::new();
-    for &threshold in &thresholds {
-        if let Some((weights, _)) =
-            solve_threshold_lp(h, threshold, config.max_lp_iterations, &mut ws)
-        {
-            let rev = revenue::item_pricing_revenue(h, &weights);
-            if rev > best_rev {
-                best_rev = rev;
-                best_weights = weights;
+    let size = thresholds
+        .last()
+        .map_or(LpSize::default(), |&t| LpSize::of(h, t));
+    let mut front = ThresholdWorker::new(h, size);
+    let best = if workers < 2 || thresholds.len() < 2 {
+        front.run(&sweep, End::Front);
+        front.best
+    } else {
+        let mut back = ThresholdWorker::new(h, size);
+        let caller_cpu = cpu::current();
+        std::thread::scope(|scope| {
+            // Should the OS refuse the thread, the front worker claims every
+            // threshold, and the back worker's revenue of 0 never wins the
+            // merge: the serial sweep's result.
+            let spawned = std::thread::Builder::new().spawn_scoped(scope, || {
+                cpu::leave(caller_cpu);
+                back.run(&sweep, End::Back)
+            });
+            front.run(&sweep, End::Front);
+            if let Ok(back) = spawned {
+                back.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
             }
-        }
-    }
-
-    let pricing = Pricing::Item {
-        weights: best_weights,
+        });
+        front.merge(back)
     };
+
+    let pricing = Pricing::Item { weights: best };
     let rev = revenue::revenue(h, &pricing);
     PricingOutcome {
         algorithm: "LPIP",
@@ -98,73 +146,285 @@ fn solve_lpip(h: &Hypergraph, config: &LpipConfig) -> PricingOutcome {
     }
 }
 
-/// Solves `LP(e)` for the threshold valuation `threshold` and returns the
-/// full-length weight vector together with the LP objective, solving in the
-/// sweep's workspace `ws`.
-pub(crate) fn solve_threshold_lp(
-    h: &Hypergraph,
-    threshold: f64,
+/// Candidate thresholds: the distinct valuations in decreasing order,
+/// subsampled evenly down to `max_lps` when there are more.
+fn thresholds(h: &Hypergraph, max_lps: Option<usize>) -> Vec<f64> {
+    // alloc: one threshold list per sweep.
+    let mut thresholds: Vec<f64> = h.edges().iter().map(|e| e.valuation).collect();
+    thresholds.sort_by(|a, b| b.partial_cmp(a).unwrap());
+    thresholds.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
+    match max_lps {
+        Some(k) if k > 0 && thresholds.len() > k => {
+            let step = thresholds.len() as f64 / k as f64;
+            (0..k)
+                .map(|i| thresholds[(i as f64 * step) as usize])
+                // alloc: one subsampled list per sweep.
+                .collect()
+        }
+        _ => thresholds,
+    }
+}
+
+/// Whether `e` is forced (must stay affordable) at `threshold`.
+fn forced(e: &Edge, threshold: f64) -> bool {
+    e.valuation >= threshold - 1e-12
+}
+
+/// The dimensions of one threshold's LP.
+#[derive(Debug, Clone, Copy, Default)]
+struct LpSize {
+    /// Forced edges, empty ones included.
+    forced: usize,
+    /// Items occurring in forced edges: the LP's variables.
+    vars: usize,
+    /// Non-empty forced edges: the LP's rows.
+    rows: usize,
+    /// Summed sizes of the forced edges: the LP's coefficients.
+    nonzeros: usize,
+}
+
+impl LpSize {
+    fn of(h: &Hypergraph, threshold: f64) -> LpSize {
+        // alloc: one membership table per sweep, on the calling thread.
+        let mut seen = vec![false; h.num_items()];
+        let mut size = LpSize::default();
+        for e in h.edges().iter().filter(|e| forced(e, threshold)) {
+            size.forced += 1;
+            size.rows += usize::from(!e.items.is_empty());
+            size.nonzeros += e.items.len();
+            for j in e.items.iter() {
+                size.vars += usize::from(!seen[j]);
+                seen[j] = true;
+            }
+        }
+        size
+    }
+}
+
+/// What both workers share: the input, the thresholds and the claim range.
+struct Sweep<'a> {
+    h: &'a Hypergraph,
+    thresholds: &'a [f64],
     max_iterations: usize,
-    ws: &mut SimplexWorkspace,
-) -> Option<(Vec<f64>, f64)> {
-    let forced: Vec<usize> = h
-        .edges()
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| e.valuation >= threshold - 1e-12)
-        .map(|(i, _)| i)
-        .collect();
-    if forced.is_empty() {
-        return None;
+    /// The unclaimed threshold indices; the front worker takes from the
+    /// start, the back worker from the end.
+    claims: &'a Mutex<Range<usize>>,
+}
+
+/// The end of the claim range a worker takes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum End {
+    Front,
+    Back,
+}
+
+/// Marks an item that is no variable of the current LP.
+const NO_VAR: usize = usize::MAX;
+
+/// One worker's buffers, reused from one threshold LP to the next, and
+/// the best pricing it has found.
+struct ThresholdWorker {
+    /// Indices of the edges the current threshold forces.
+    forced: Vec<usize>,
+    /// The item of each LP variable.
+    item_of_var: Vec<usize>,
+    /// The LP variable of each item, or [`NO_VAR`].
+    var_of_item: Vec<usize>,
+    lp: LpProblem,
+    ws: SimplexWorkspace,
+    /// The current LP's weights, one per item.
+    weights: Vec<f64>,
+    /// The best weights so far (all zero before the first threshold that
+    /// wins), and their revenue.
+    best: Vec<f64>,
+    best_rev: f64,
+}
+
+impl ThresholdWorker {
+    /// A worker whose buffers hold an LP of `size` without growing.
+    fn new(h: &Hypergraph, size: LpSize) -> ThresholdWorker {
+        let n = h.num_items();
+        let mut lp = LpProblem::new(Sense::Maximize, 0);
+        lp.reserve(size.vars, size.rows, size.nonzeros);
+        let mut ws = SimplexWorkspace::new();
+        // Every row is a `≤` row over a non-negative valuation: one slack
+        // column each.
+        ws.reserve(size.rows, size.vars + size.rows);
+        // alloc: per-sweep buffers, sized once on the calling thread.
+        ThresholdWorker {
+            forced: Vec::with_capacity(size.forced),
+            item_of_var: Vec::with_capacity(size.vars),
+            var_of_item: vec![NO_VAR; n],
+            lp,
+            ws,
+            weights: vec![0.0; n],
+            best: vec![0.0; n],
+            best_rev: 0.0,
+        }
     }
 
-    // Restrict LP variables to the items that actually occur in forced edges.
-    let mut item_of_var: Vec<usize> = Vec::new();
-    let mut var_of_item: Vec<Option<usize>> = vec![None; h.num_items()];
-    for &ei in &forced {
-        for j in h.edge(ei).items.iter() {
-            if var_of_item[j].is_none() {
-                var_of_item[j] = Some(item_of_var.len());
-                item_of_var.push(j);
+    /// Claims thresholds from `end` until none is left, keeping the best
+    /// pricing under the tie rule of the module docs.
+    fn run(&mut self, sweep: &Sweep<'_>, end: End) {
+        loop {
+            let claimed = match end {
+                End::Front => sweep.claims.lock().next(),
+                End::Back => sweep.claims.lock().next_back(),
+            };
+            let Some(i) = claimed else {
+                return;
+            };
+            if self
+                .solve(sweep.h, sweep.thresholds[i], sweep.max_iterations)
+                .is_none()
+            {
+                continue;
+            }
+            let rev = revenue::item_pricing_revenue(sweep.h, &self.weights);
+            let better = match end {
+                End::Front => rev > self.best_rev,
+                // The back worker walks downwards: an equal revenue is a
+                // lower index, which the serial sweep would have kept.
+                End::Back => rev >= self.best_rev,
+            };
+            if better {
+                self.best_rev = rev;
+                std::mem::swap(&mut self.best, &mut self.weights);
             }
         }
     }
 
-    let mut lp = LpProblem::new(Sense::Maximize, item_of_var.len());
-    lp.set_max_iterations(max_iterations);
-    // Objective: each item weight is collected once per forced edge containing
-    // the item.
-    for &ei in &forced {
-        for j in h.edge(ei).items.iter() {
-            lp.add_objective(var_of_item[j].unwrap(), 1.0);
+    /// The best weights of a front worker and the back worker that swept
+    /// the rest: the back's only when strictly better.
+    fn merge(self, back: ThresholdWorker) -> Vec<f64> {
+        if back.best_rev > self.best_rev {
+            back.best
+        } else {
+            self.best
         }
-    }
-    // Constraints: every forced edge must remain affordable.
-    for &ei in &forced {
-        let e = h.edge(ei);
-        if e.items.is_empty() {
-            continue; // 0 <= v_e holds trivially.
-        }
-        let coeffs: Vec<(usize, f64)> = e
-            .items
-            .iter()
-            .map(|j| (var_of_item[j].unwrap(), 1.0))
-            .collect();
-        lp.add_constraint(coeffs, ConstraintOp::Le, e.valuation);
     }
 
-    let sol = lp.solve_with(ws).ok()?;
-    let mut weights = vec![0.0; h.num_items()];
-    for (var, &item) in item_of_var.iter().enumerate() {
-        weights[item] = sol.primal[var].max(0.0);
+    /// Builds and solves `LP(e)` for the threshold valuation `threshold`,
+    /// leaves its weights in `self.weights` and returns its objective;
+    /// `None` when no edge is forced or the LP fails.
+    fn solve(&mut self, h: &Hypergraph, threshold: f64, max_iterations: usize) -> Option<f64> {
+        self.forced.clear();
+        self.forced.extend(
+            h.edges()
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| forced(e, threshold))
+                .map(|(i, _)| i),
+        );
+        if self.forced.is_empty() {
+            return None;
+        }
+
+        // Restrict LP variables to the items that actually occur in forced
+        // edges, numbered in order of first occurrence.
+        for &j in &self.item_of_var {
+            self.var_of_item[j] = NO_VAR;
+        }
+        self.item_of_var.clear();
+        for &ei in &self.forced {
+            for j in h.edge(ei).items.iter() {
+                if self.var_of_item[j] == NO_VAR {
+                    self.var_of_item[j] = self.item_of_var.len();
+                    self.item_of_var.push(j);
+                }
+            }
+        }
+
+        let lp = &mut self.lp;
+        lp.clear(self.item_of_var.len());
+        lp.set_max_iterations(max_iterations);
+        // Objective: each item weight is collected once per forced edge
+        // containing the item.
+        for &ei in &self.forced {
+            for j in h.edge(ei).items.iter() {
+                lp.add_objective(self.var_of_item[j], 1.0);
+            }
+        }
+        // Constraints: every forced edge must remain affordable.
+        for &ei in &self.forced {
+            let e = h.edge(ei);
+            if e.items.is_empty() {
+                continue; // 0 <= v_e holds trivially.
+            }
+            let coeffs = e.items.iter().map(|j| (self.var_of_item[j], 1.0));
+            lp.add_constraint(coeffs, ConstraintOp::Le, e.valuation);
+        }
+
+        let sol = lp.solve_with(&mut self.ws).ok()?;
+        self.weights.fill(0.0);
+        for (var, &item) in self.item_of_var.iter().enumerate() {
+            self.weights[item] = sol.primal[var].max(0.0);
+        }
+        Some(sol.objective)
     }
-    Some((weights, sol.objective))
 }
+
+/// Moving the back worker off the caller's CPU (see the module docs).
+/// Best effort: any failure leaves the thread where the scheduler put it.
+#[cfg(target_os = "linux")]
+mod cpu {
+    /// glibc's `cpu_set_t`: one bit per CPU, 1024 CPUs.
+    type CpuSet = [u64; 16];
+
+    extern "C" {
+        fn sched_getcpu() -> i32;
+        fn sched_getaffinity(pid: i32, size: usize, mask: *mut CpuSet) -> i32;
+        fn sched_setaffinity(pid: i32, size: usize, mask: *const CpuSet) -> i32;
+    }
+
+    /// The CPU the calling thread runs on.
+    pub(super) fn current() -> Option<usize> {
+        // SAFETY: `sched_getcpu` takes no arguments; it returns a CPU
+        // number or -1.
+        usize::try_from(unsafe { sched_getcpu() }).ok()
+    }
+
+    /// Restricts the calling thread to the CPUs it may use other than
+    /// `cpu`; does nothing if `cpu` is the only one.
+    pub(super) fn leave(cpu: Option<usize>) {
+        let Some(cpu) = cpu else {
+            return;
+        };
+        let mut mask: CpuSet = [0; 16];
+        let size = std::mem::size_of::<CpuSet>();
+        // SAFETY: `mask` is a live `CpuSet` of `size` bytes, and pid 0 is
+        // the calling thread.
+        if unsafe { sched_getaffinity(0, size, &mut mask) } != 0 {
+            return;
+        }
+        let Some(word) = mask.get_mut(cpu / 64) else {
+            return;
+        };
+        *word &= !(1 << (cpu % 64));
+        if mask.iter().any(|&w| w != 0) {
+            // SAFETY: as above; the kernel only reads `mask`.
+            unsafe { sched_setaffinity(0, size, &mask) };
+        }
+    }
+}
+
+/// No CPU placement outside Linux.
+#[cfg(not(target_os = "linux"))]
+mod cpu {
+    pub(super) fn current() -> Option<usize> {
+        None
+    }
+
+    pub(super) fn leave(_cpu: Option<usize>) {}
+}
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{test_support, uniform_item_price};
+    use crate::algorithms::{self, test_support, uniform_item_price};
 
     #[test]
     fn extracts_full_revenue_when_every_edge_has_unique_item() {
@@ -207,9 +467,9 @@ mod tests {
     #[test]
     fn threshold_lp_objective_is_revenue_of_forced_edges() {
         let h = test_support::unique_items();
-        let (weights, obj) =
-            solve_threshold_lp(&h, 0.0, 100_000, &mut SimplexWorkspace::new()).unwrap();
-        let rev = revenue::item_pricing_revenue(&h, &weights);
+        let mut worker = ThresholdWorker::new(&h, LpSize::of(&h, 0.0));
+        let obj = worker.solve(&h, 0.0, 100_000).unwrap();
+        let rev = revenue::item_pricing_revenue(&h, &worker.weights);
         assert!((obj - rev).abs() < 1e-6);
     }
 
@@ -233,5 +493,227 @@ mod tests {
         let h = Hypergraph::new(4);
         let out = lp_item_price(&h, &LpipConfig::default());
         assert_eq!(out.revenue, 0.0);
+    }
+
+    /// Item 0 in six edges valued `60 / i`: the threshold `60 / i` forces
+    /// `i` of them at weight `60 / i`, so every threshold earns exactly 60
+    /// with different weights. An empty edge adds a seventh threshold that
+    /// forces all six at weight 10.
+    fn all_thresholds_tie() -> Hypergraph {
+        let mut h = Hypergraph::new(2);
+        for i in 1..=6 {
+            h.add_edge(vec![0], 60.0 / i as f64);
+        }
+        h.add_edge(Vec::<usize>::new(), 3.0);
+        h
+    }
+
+    fn bits(weights: &[f64]) -> Vec<u64> {
+        weights.iter().map(|w| w.to_bits()).collect()
+    }
+
+    fn item_weights(out: &PricingOutcome) -> &[f64] {
+        match &out.pricing {
+            Pricing::Item { weights } => weights,
+            other => panic!("LPIP returned {other:?}"),
+        }
+    }
+
+    /// Runs the front worker over `0..meet` and the back worker over
+    /// `meet..len`, one after the other, and merges them.
+    fn split_sweep(h: &Hypergraph, config: &LpipConfig, meet: usize) -> Vec<f64> {
+        let thresholds = thresholds(h, config.max_lps);
+        let size = LpSize::of(h, *thresholds.last().unwrap());
+        let run = |range: Range<usize>, end| {
+            let claims = Mutex::new(range);
+            let sweep = Sweep {
+                h,
+                thresholds: &thresholds,
+                max_iterations: config.max_lp_iterations,
+                claims: &claims,
+            };
+            let mut worker = ThresholdWorker::new(h, size);
+            worker.run(&sweep, end);
+            worker
+        };
+        let front = run(0..meet, End::Front);
+        let back = run(meet..thresholds.len(), End::Back);
+        front.merge(back)
+    }
+
+    #[test]
+    fn every_meeting_point_gives_the_serial_weights() {
+        let configs = [
+            LpipConfig::default(),
+            LpipConfig {
+                max_lps: Some(4),
+                max_lp_iterations: 200_000,
+            },
+            LpipConfig {
+                max_lps: None,
+                max_lp_iterations: 1,
+            },
+        ];
+        for h in [
+            all_thresholds_tie(),
+            test_support::small(),
+            test_support::star(&[1.0, 2.0, 4.0, 8.0, 8.0, 3.0]),
+        ] {
+            for config in &configs {
+                let serial = algorithms::reference::lp_item_price(&h, config);
+                let len = thresholds(&h, config.max_lps).len();
+                for meet in 0..=len {
+                    assert_eq!(
+                        bits(&split_sweep(&h, config, meet)),
+                        bits(item_weights(&serial)),
+                        "meeting at {meet} of {len} ({config:?})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_thread_that_leaves_a_cpu_runs_elsewhere() {
+        let caller = cpu::current().unwrap();
+        let elsewhere = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    cpu::leave(Some(caller));
+                    cpu::current().unwrap()
+                })
+                .join()
+                .unwrap()
+        });
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
+            assert_ne!(elsewhere, caller);
+        }
+    }
+
+    #[test]
+    fn ties_keep_the_first_threshold() {
+        let h = all_thresholds_tie();
+        for workers in [1, 2] {
+            let out = lp_item_price_on(&h, &LpipConfig::default(), workers);
+            assert_eq!(item_weights(&out)[0], 60.0, "workers={workers}");
+        }
+    }
+}
+
+/// A warm worker's allocations, counted by a global allocator that tallies
+/// each thread's allocations separately.
+#[cfg(test)]
+mod alloc_tests {
+    use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    struct Counting;
+
+    thread_local! {
+        static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn count() {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // so the caller's guarantees are exactly the ones `System` needs; the
+    // counter is a const-initialized thread-local `Cell`, which never
+    // allocates.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count();
+            // SAFETY: forwarded as received.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            count();
+            // SAFETY: forwarded as received.
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count();
+            // SAFETY: forwarded as received; `ptr` came from `System`.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: forwarded as received; `ptr` came from `System`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: Counting = Counting;
+
+    fn allocs() -> usize {
+        ALLOCS.with(Cell::get)
+    }
+
+    /// `scale` copies of one pattern over disjoint items: eight thresholds
+    /// whatever the scale, with `scale` times the rows and items.
+    fn scaled(scale: usize) -> Hypergraph {
+        let mut h = Hypergraph::new(5 * scale);
+        for c in 0..scale {
+            let base = 5 * c;
+            for (k, v) in [9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0]
+                .into_iter()
+                .enumerate()
+            {
+                h.add_edge([base + k % 5, base + (k * 3 + 1) % 5], v);
+                h.add_edge([base + (k + 2) % 5], v + 0.5 * (k % 2) as f64);
+            }
+        }
+        h
+    }
+
+    /// Allocations of each threshold LP a worker sized for the sweep
+    /// solves, in sweep order.
+    fn per_threshold(h: &Hypergraph) -> Vec<usize> {
+        let thresholds = thresholds(h, None);
+        let mut worker = ThresholdWorker::new(h, LpSize::of(h, *thresholds.last().unwrap()));
+        thresholds
+            .iter()
+            .map(|&t| {
+                let before = allocs();
+                worker.solve(h, t, 200_000).unwrap();
+                revenue::item_pricing_revenue(h, &worker.weights);
+                allocs() - before
+            })
+            .collect()
+    }
+
+    #[test]
+    fn warm_worker_allocations_do_not_grow_with_the_lp() {
+        let small = per_threshold(&scaled(1));
+        // The primal and dual vectors of each solve, nothing else.
+        assert!(small.iter().all(|&n| n == 2), "{small:?}");
+        for scale in [4, 16, 64] {
+            assert_eq!(per_threshold(&scaled(scale)), small, "scale {scale}");
+        }
+    }
+
+    #[test]
+    fn a_sized_sweep_allocates_only_results_per_threshold() {
+        for scale in [1, 16] {
+            let h = scaled(scale);
+            let thresholds = thresholds(&h, None);
+            let claims = Mutex::new(0..thresholds.len());
+            let sweep = Sweep {
+                h: &h,
+                thresholds: &thresholds,
+                max_iterations: 200_000,
+                claims: &claims,
+            };
+            let mut worker = ThresholdWorker::new(&h, LpSize::of(&h, *thresholds.last().unwrap()));
+            let before = allocs();
+            worker.run(&sweep, End::Back);
+            assert_eq!(allocs() - before, 2 * thresholds.len(), "scale {scale}");
+        }
     }
 }

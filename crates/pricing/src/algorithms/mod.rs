@@ -16,6 +16,7 @@ mod cip;
 mod incremental;
 mod layering;
 mod lpip;
+pub mod reference;
 mod refine;
 mod registry;
 mod ubp;
@@ -24,8 +25,8 @@ mod xos;
 
 pub use cip::{capacity_item_price, CipConfig};
 pub use incremental::{
-    reference, IncrementalRepricer, PricingPatch, RateTable, Repricer, UbpIncremental,
-    UipIncremental, XosIncremental,
+    IncrementalRepricer, PricingPatch, RateTable, Repricer, UbpIncremental, UipIncremental,
+    XosIncremental,
 };
 pub use layering::layering;
 pub use lpip::{lp_item_price, LpipConfig};

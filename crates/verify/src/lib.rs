@@ -15,9 +15,9 @@
 //!   the exact schedule, which `replay` re-executes deterministically.
 //! * [`models`] — the repo-specific invariants rewritten as small checked
 //!   models (no-stale-quote epoch protocol, reader-writer atomicity,
-//!   claim-exactly-once, pending-table bounds), each paired with a
-//!   seeded-bug variant proving the checker actually catches the
-//!   corresponding protocol violation.
+//!   claim-exactly-once, two-ended claims, pending-table bounds), each
+//!   paired with a seeded-bug variant proving the checker actually catches
+//!   the corresponding protocol violation.
 //!
 //! Run the catalog with `cargo run --release -p qp-verify` (add `--smoke`
 //! for the CI-sized budget, `--replay <model> <schedule>` to reproduce a

@@ -13,6 +13,7 @@
 //! | `no-stale-quote` | `Broker::set_pricing` epoch bump vs `ShardSet::quote` cache serve (PR 5) |
 //! | `rw-atomicity` | `set_pricing` vs `quote_batch` reader-writer atomicity |
 //! | `claim-exactly-once` | `claim_map` work-claiming ledger (bit-identical parallel revenue) |
+//! | `two-ended-claim` | LPIP's threshold sweep: a front and a back worker claiming from one `Mutex<Range<usize>>` |
 //! | `pending-bounds` | pending-quote table capacity eviction in `ShardSet` |
 
 use crate::sync::{AtomicU64, Mutex, RwLock};
@@ -220,6 +221,74 @@ fn claim_exactly_once(
     }
 }
 
+/// LPIP's two-ended threshold sweep: a front worker takes the lowest
+/// unclaimed index (`Range::next`) and a back worker the highest
+/// (`Range::next_back`), each in one critical section of the mutex around
+/// the range, and records its claim. Invariants: every index is claimed
+/// exactly once, the two ends never take the same index, and both workers
+/// terminate within `items + 1` claim attempts.
+///
+/// With `bug_split_take`, the bounds check and the take run in two
+/// separate critical sections — both ends can pass the check on the last
+/// index and then both take it.
+fn two_ended_claim(items: usize, bug_split_take: bool) -> impl Fn() + Send + Sync {
+    move || {
+        // (unclaimed range, per-index claimant: 0 none, 1 front, 2 back).
+        let ledger = Arc::new(Mutex::new((0..items, vec![0u8; items])));
+        let mut handles = Vec::new();
+        for end in [1u8, 2] {
+            let ledger = Arc::clone(&ledger);
+            handles.push(thread::spawn(move || {
+                for _ in 0..=items {
+                    let idx = if bug_split_take {
+                        // BUG: the bounds check and the take in separate
+                        // critical sections.
+                        if ledger.lock().0.is_empty() {
+                            return;
+                        }
+                        let mut g = ledger.lock();
+                        if end == 1 {
+                            g.0.start += 1;
+                            g.0.start - 1
+                        } else {
+                            g.0.end -= 1;
+                            g.0.end
+                        }
+                    } else {
+                        let mut g = ledger.lock();
+                        let next = if end == 1 {
+                            g.0.next()
+                        } else {
+                            g.0.next_back()
+                        };
+                        match next {
+                            Some(i) => i,
+                            None => return,
+                        }
+                    };
+                    let mut g = ledger.lock();
+                    let taker = g.1[idx];
+                    assert!(
+                        taker == 0,
+                        "index {idx} taken by end {end} after end {taker}"
+                    );
+                    g.1[idx] = end;
+                }
+                panic!("end {end} still claiming after {} attempts", items + 1);
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        let g = ledger.lock();
+        assert!(
+            g.1.iter().all(|&taker| taker != 0),
+            "an index was never claimed: {:?}",
+            g.1
+        );
+    }
+}
+
 /// The pending-quote table from `ShardSet::quote`: quoters draw unique ids
 /// from an atomic counter and insert under the table mutex, evicting the
 /// oldest entry first when at capacity. Invariants: the table never
@@ -280,7 +349,7 @@ impl ModelSpec {
     }
 }
 
-/// The full model catalog: the four core invariants plus their seeded-bug
+/// The full model catalog: the five core invariants plus their seeded-bug
 /// counterparts. Seeded variants use minimal sizes so depth-first search
 /// reaches the buggy interleaving within a smoke budget.
 pub fn catalog() -> Vec<ModelSpec> {
@@ -320,6 +389,18 @@ pub fn catalog() -> Vec<ModelSpec> {
             about: "cursor check/advance split across critical sections — must be caught",
             expect_failure: true,
             build: || Box::new(claim_exactly_once(2, 1, true)),
+        },
+        ModelSpec {
+            name: "two-ended-claim",
+            about: "LPIP sweep: front/back claims from one range, each index exactly once",
+            expect_failure: false,
+            build: || Box::new(two_ended_claim(4, false)),
+        },
+        ModelSpec {
+            name: "two-ended-claim-seeded-bug",
+            about: "bounds check and take split across critical sections — must be caught",
+            expect_failure: true,
+            build: || Box::new(two_ended_claim(1, true)),
         },
         ModelSpec {
             name: "pending-bounds",
