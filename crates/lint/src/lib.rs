@@ -12,7 +12,8 @@
 //! | `ordering-comment` | a non-`SeqCst` atomic `Ordering::*` without a `// ordering:` justification comment on the same or a directly preceding line |
 //! | `unwrap-in-server` | `.unwrap()`/`.expect(` on `qp-server` request paths (`crates/server/src`, excluding the panic-by-design loadgen `transport.rs` and `bin/`) |
 //! | `float-eq` | `==`/`!=` against a float literal without `to_bits` or a `// float-eq:` justification comment |
-//! | `alloc-in-kernel` | `Vec::new()` / `.to_vec()` / `collect::<Vec<…>>` in a cache-hot kernel module (`ItemSet`, the incremental repricer, the simplex, LPIP's threshold sweep) without an `// alloc:` justification comment (kernels reuse buffers; steady-state allocation is a regression) |
+//! | `alloc-in-kernel` | `Vec::new()` / `.to_vec()` / `collect::<Vec<…>>` in a cache-hot kernel module (`ItemSet`, the incremental repricer, the simplex and its row passes, LPIP's threshold sweep) without an `// alloc:` justification comment (kernels reuse buffers; steady-state allocation is a regression) |
+//! | `unsafe-safety` | an `unsafe` block, fn or impl without a `// SAFETY:` comment on the same or a directly preceding line saying why it is sound |
 //! | `wallclock` | `Instant::now()` / `SystemTime::now()` outside `qp-telemetry`, `qp-bench`, and `bin/` without a `// timing:` justification comment (ambient clock reads belong in the telemetry layer, where they are provably out-of-band) |
 //!
 //! All rules skip test code (`#[cfg(test)]`/`#[test]` items and everything
@@ -304,6 +305,23 @@ fn is_float_literal(tok: &str) -> bool {
             .all(|c| c.is_ascii_digit() || "._eE+-".contains(c))
 }
 
+/// What the `unsafe` keyword at byte offset `at` opens, `block`, `fn` or
+/// `impl`; `None` for anything else (an identifier such as `unsafe_op`, an
+/// `unsafe extern` block, an `unsafe trait`).
+fn unsafe_item(code: &str, at: usize) -> Option<&'static str> {
+    let rest = &code[at + "unsafe".len()..];
+    if (at > 0 && is_ident_char(code.as_bytes()[at - 1] as char)) || rest.starts_with(is_ident_char)
+    {
+        return None;
+    }
+    let rest = rest.trim_start();
+    if rest.starts_with('{') {
+        return Some("block");
+    }
+    let word: String = rest.chars().take_while(|&c| is_ident_char(c)).collect();
+    ["fn", "impl"].into_iter().find(|&kw| word == kw)
+}
+
 /// Scope of each rule given a workspace-relative path (`/`-separated).
 struct Scope<'a> {
     rel: &'a str,
@@ -347,6 +365,10 @@ impl Scope<'_> {
         self.in_crates_src()
     }
 
+    fn unsafe_safety(&self) -> bool {
+        self.in_crates_src()
+    }
+
     /// `alloc-in-kernel` covers only the cache-hot kernel modules, where
     /// the allocation discipline (arena + double-buffer reuse) is the
     /// optimization being protected.
@@ -369,13 +391,14 @@ impl Scope<'_> {
 /// The modules whose hot loops are allocation-free by design: the
 /// `ItemSet` representation and kernels, the incremental repricer's
 /// merge machinery, the simplex, whose tableau lives in a workspace
-/// reused across an LP sweep, and LPIP's threshold sweep, whose workers
-/// reuse buffers sized before they start (what keeps a second worker from
-/// raising peak RSS).
-const KERNEL_MODULES: [&str; 4] = [
+/// reused across an LP sweep, and its dense row passes, and LPIP's
+/// threshold sweep, whose workers reuse buffers sized before they start
+/// (what keeps a second worker from raising peak RSS).
+const KERNEL_MODULES: [&str; 5] = [
     "crates/core/src/set.rs",
     "crates/pricing/src/algorithms/incremental.rs",
     "crates/lp/src/simplex.rs",
+    "crates/lp/src/kernel.rs",
     "crates/pricing/src/algorithms/lpip.rs",
 ];
 
@@ -520,6 +543,22 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
                                  (arena/double-buffer) or justify with an \
                                  `// alloc:` comment",
                                 pat.trim_end_matches('<')
+                            ),
+                        ));
+                    }
+                }
+            }
+        }
+
+        if scope.unsafe_safety() {
+            for at in find_all(code, "unsafe") {
+                if let Some(what) = unsafe_item(code, at) {
+                    if !justified(&lines, i, "SAFETY:") {
+                        out.push(v(
+                            "unsafe-safety",
+                            format!(
+                                "`unsafe` {what} without a `// SAFETY:` comment (same line \
+                                 or directly above) saying why it is sound"
                             ),
                         ));
                     }

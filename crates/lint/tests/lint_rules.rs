@@ -82,6 +82,7 @@ fn alloc_kernel_rule_fires_exactly_where_seeded() {
     for kernel in [
         "crates/pricing/src/algorithms/incremental.rs",
         "crates/lp/src/simplex.rs",
+        "crates/lp/src/kernel.rs",
         "crates/pricing/src/algorithms/lpip.rs",
     ] {
         let v = lint_source(kernel, src);
@@ -91,6 +92,24 @@ fn alloc_kernel_rule_fires_exactly_where_seeded() {
     assert!(lint_source("crates/core/src/arena.rs", src).is_empty());
     assert!(lint_source("crates/market/src/broker.rs", src).is_empty());
     assert!(lint_source("crates/pricing/src/algorithms/cip.rs", src).is_empty());
+}
+
+#[test]
+fn unsafe_rule_fires_exactly_where_seeded() {
+    let src = include_str!("fixtures/unsafe_safety.rs");
+    let v = lint_source("crates/lp/src/fixture.rs", src);
+    assert_eq!(
+        fired(&v),
+        vec![
+            ("unsafe-safety", 5),
+            ("unsafe-safety", 11),
+            ("unsafe-safety", 14),
+            ("unsafe-safety", 19),
+        ]
+    );
+    // Every crate's source is in scope; tests are not.
+    assert_eq!(lint_source("crates/server/src/fixture.rs", src).len(), 4);
+    assert!(lint_source("crates/lp/tests/fixture.rs", src).is_empty());
 }
 
 #[test]

@@ -7,11 +7,13 @@
 //! solver over a row-major tableau that returns both the primal solution and
 //! the dual values of every constraint. Each pivot eliminates only over the
 //! pivot row's non-zero columns (the reduced-cost row stays dense), which
-//! gives the same bits as the dense solver kept in [`mod@reference`]. A
-//! [`SimplexWorkspace`] owns the solver's buffers, so a sweep of related
-//! LPs ([`LpProblem::solve_with`]) reuses one tableau, and a sweep of
-//! objectives over fixed constraints ([`LpProblem::solve_objectives_with`],
-//! CIP's capacities) runs phase 1 only once.
+//! gives the same bits as the dense solver kept in [`mod@reference`]; the
+//! full-width row passes run AVX2-compiled on CPUs that have it, again
+//! with the same bits. A [`SimplexWorkspace`] owns the solver's buffers,
+//! so a sweep of related LPs ([`LpProblem::solve_with`]) reuses one
+//! tableau, and a sweep of objectives over fixed constraints
+//! ([`LpProblem::solve_objectives_with`], CIP's capacities) runs phase 1
+//! only once.
 //!
 //! An [`LpProblem`] stores its rows flat: one coefficient list for all
 //! rows plus each row's end, operator and right-hand side, and
@@ -56,6 +58,7 @@
 //! ```
 
 mod error;
+mod kernel;
 mod problem;
 pub mod reference;
 mod simplex;

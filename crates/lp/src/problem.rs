@@ -1,5 +1,6 @@
 //! Linear-program construction.
 
+use crate::kernel::Isa;
 use crate::{simplex, LpError, LpSolution, SimplexWorkspace, SweepSolution};
 
 /// Optimization direction.
@@ -213,8 +214,18 @@ impl LpProblem {
     /// is bit-identical to [`LpProblem::solve`]'s whatever `ws` solved
     /// before.
     pub fn solve_with(&self, ws: &mut SimplexWorkspace) -> Result<LpSolution, LpError> {
+        self.solve_on(ws, Isa::detect())
+    }
+
+    /// [`LpProblem::solve_with`] with `isa`'s row passes, so tests can pin
+    /// the scalar ones.
+    pub(crate) fn solve_on(
+        &self,
+        ws: &mut SimplexWorkspace,
+        isa: Isa,
+    ) -> Result<LpSolution, LpError> {
         self.validate()?;
-        simplex::solve(self, ws)
+        simplex::solve(self, ws, isa)
     }
 
     /// Solves one LP per entry of `objectives`: this problem's constraints,
@@ -244,6 +255,16 @@ impl LpProblem {
         objectives: &[Vec<f64>],
         ws: &mut SimplexWorkspace,
     ) -> Vec<Result<SweepSolution, LpError>> {
+        self.solve_objectives_on(objectives, ws, Isa::detect())
+    }
+
+    /// [`LpProblem::solve_objectives_with`] with `isa`'s row passes.
+    pub(crate) fn solve_objectives_on(
+        self,
+        objectives: &[Vec<f64>],
+        ws: &mut SimplexWorkspace,
+        isa: Isa,
+    ) -> Vec<Result<SweepSolution, LpError>> {
         for c in objectives {
             assert_eq!(
                 c.len(),
@@ -251,7 +272,7 @@ impl LpProblem {
                 "objective length must equal num_vars"
             );
         }
-        simplex::sweep(self, objectives, ws)
+        simplex::sweep(self, objectives, ws, isa)
     }
 }
 

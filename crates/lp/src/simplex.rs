@@ -19,6 +19,17 @@
 //! quarter of the columns are non-zero; otherwise the vectorized
 //! full-width update is faster.
 //!
+//! The full-width passes, normalizing the pivot row and `x -= f·p` over a
+//! row, run through [`crate::kernel`]. A solve or sweep detects once
+//! whether the CPU has AVX2 (std caches the probe) and every pivot then
+//! runs either the baseline compilation of the passes or the AVX2 one.
+//! The two differ only in vector width: neither uses FMA (Rust never
+//! fuses a multiply and a subtract), and SSE2 and AVX2 share the MXCSR
+//! rounding and denormal modes, so each element gets the same multiply and
+//! then the same subtract on either path. The tableau, and with it every
+//! primal, dual and revenue bit, is the same. [`crate::reference`] keeps
+//! its own scalar loops, so it stays an independent oracle.
+//!
 //! Every buffer the solver touches lives in a [`SimplexWorkspace`], so a
 //! sweep of LPs (LPIP's thresholds, CIP's capacities) pays for its tableau
 //! once instead of once per LP. Only the returned primal and dual vectors
@@ -29,6 +40,7 @@
 //! compacted out of the tableau, the post-phase-1 state is kept as a sparse
 //! snapshot, and each objective restores the snapshot and runs phase 2.
 
+use crate::kernel::Isa;
 use crate::problem::reserve_total;
 use crate::{ConstraintOp, LpError, LpProblem, LpSolution, LpStatus, Sense, SweepSolution, EPS};
 
@@ -133,6 +145,8 @@ struct Tableau {
     basis: Vec<usize>,
     /// Per-row normalization info.
     rows: Vec<RowInfo>,
+    /// The compilation of the dense row passes pivots run.
+    isa: Isa,
 }
 
 impl Tableau {
@@ -156,9 +170,7 @@ impl Tableau {
 
         // Normalize the pivot row.
         let inv = 1.0 / piv;
-        for x in &mut self.a[pr_start..pr_start + w] {
-            *x *= inv;
-        }
+        self.isa.scale(&mut self.a[pr_start..pr_start + w], inv);
         self.a[pr_start + pivot_col] = 1.0;
 
         // Split borrows by copying the pivot row once; the copy is reused
@@ -197,18 +209,14 @@ impl Tableau {
                     row[j] -= factor * pivot[j];
                 }
             } else {
-                for (x, &pv) in row.iter_mut().zip(pivot) {
-                    *x -= factor * pv;
-                }
+                self.isa.eliminate(row, pivot, factor);
             }
             row[pivot_col] = 0.0;
         }
         // The reduced-cost row stays dense (its zero costs are `-0.0`).
         let factor = self.obj[pivot_col];
         if factor.abs() > EPS {
-            for (o, &pv) in self.obj.iter_mut().zip(pivot) {
-                *o -= factor * pv;
-            }
+            self.isa.eliminate(&mut self.obj, pivot, factor);
         }
         self.obj[pivot_col] = 0.0;
 
@@ -640,9 +648,15 @@ fn phase2(
     iterate(t, struct_and_slack, max_iters)
 }
 
-/// Solves `p` with the two-phase simplex method, in `ws`'s buffers.
-pub(crate) fn solve(p: &LpProblem, ws: &mut SimplexWorkspace) -> Result<LpSolution, LpError> {
+/// Solves `p` with the two-phase simplex method, in `ws`'s buffers, with
+/// `isa`'s row passes.
+pub(crate) fn solve(
+    p: &LpProblem,
+    ws: &mut SimplexWorkspace,
+    isa: Isa,
+) -> Result<LpSolution, LpError> {
     let SimplexWorkspace { t, cost } = ws;
+    t.isa = isa;
     build_tableau(p, t);
     let max_iters = p.max_iterations();
     let flip = flip(p.sense());
@@ -667,8 +681,10 @@ pub(crate) fn sweep(
     p: LpProblem,
     objectives: &[Vec<f64>],
     ws: &mut SimplexWorkspace,
+    isa: Isa,
 ) -> Vec<Result<SweepSolution, LpError>> {
     let SimplexWorkspace { t, cost } = ws;
+    t.isa = isa;
     let max_iters = p.max_iterations();
     let flip = flip(p.sense());
     // Validation and phase 1 are shared by every objective.

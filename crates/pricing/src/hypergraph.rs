@@ -82,7 +82,7 @@ use crate::PricingOutcome;
 pub struct Edge {
     /// The items of the bundle (the conflict set), as a bitset.
     pub items: ItemSet,
-    /// The buyer's valuation `v_e ≥ 0`.
+    /// The buyer's valuation `v_e ≥ 0`, finite.
     pub valuation: f64,
 }
 
@@ -197,6 +197,16 @@ fn sorted_remove(v: &mut Vec<usize>, x: usize) {
     let i = v.partition_point(|&y| y < x);
     debug_assert_eq!(v.get(i), Some(&x), "adjacency list out of sync");
     v.remove(i);
+}
+
+/// Panics unless `v` is a valid valuation. An infinite one would pass a
+/// bare `v >= 0.0`, and the LP-based algorithms would then skip every LP
+/// holding its row.
+fn check_valuation(v: f64) {
+    assert!(
+        v.is_finite() && v >= 0.0,
+        "valuations must be finite and non-negative"
+    );
 }
 
 impl ItemIndex {
@@ -376,7 +386,7 @@ pub enum DeltaOp {
     AddEdge {
         /// The new edge's bundle.
         items: ItemSet,
-        /// The new edge's valuation (must be ≥ 0).
+        /// The new edge's valuation (finite and ≥ 0).
         valuation: f64,
     },
     /// Swap-remove the edge at `edge` (see [`Hypergraph::remove_edge`]).
@@ -388,7 +398,7 @@ pub enum DeltaOp {
     RevalueEdge {
         /// Index of the edge to revalue, valid at the moment this op applies.
         edge: usize,
-        /// The new valuation (must be ≥ 0).
+        /// The new valuation (finite and ≥ 0).
         valuation: f64,
     },
 }
@@ -529,11 +539,15 @@ impl Hypergraph {
     /// A built [`ItemIndex`] is patched in place in O(|e|); an unbuilt one
     /// stays unbuilt, and the LP price memo is emptied (see the module docs
     /// for the maintenance rules).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `valuation` is negative or not finite.
     pub fn add_edge_set(&mut self, items: ItemSet, valuation: f64) -> usize {
+        check_valuation(valuation);
         if let Some(max) = items.max_item() {
             self.num_items = self.num_items.max(max + 1);
         }
-        assert!(valuation >= 0.0, "valuations must be non-negative");
         self.lp_prices = LpPriceMemo::default();
         self.edges.push(Edge { items, valuation });
         let id = self.edges.len() - 1;
@@ -579,9 +593,10 @@ impl Hypergraph {
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is out of range or `valuation` is negative.
+    /// Panics if `idx` is out of range or `valuation` is negative or not
+    /// finite.
     pub fn revalue_edge(&mut self, idx: usize, valuation: f64) -> f64 {
-        assert!(valuation >= 0.0, "valuations must be non-negative");
+        check_valuation(valuation);
         self.lp_prices = LpPriceMemo::default();
         std::mem::replace(&mut self.edges[idx].valuation, valuation)
     }
@@ -672,11 +687,15 @@ impl Hypergraph {
     ///
     /// Valuations are not part of the [`ItemIndex`], so the cached index
     /// survives this call; the LP price memo is emptied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a new valuation is negative or not finite.
     pub fn set_valuations<F: FnMut(usize, &Edge) -> f64>(&mut self, mut f: F) {
         self.lp_prices = LpPriceMemo::default();
         for i in 0..self.edges.len() {
             let v = f(i, &self.edges[i]);
-            assert!(v >= 0.0, "valuations must be non-negative");
+            check_valuation(v);
             self.edges[i].valuation = v;
         }
     }
@@ -997,6 +1016,46 @@ mod tests {
     fn revalue_edge_rejects_negative_valuations() {
         let mut h = sample();
         h.revalue_edge(0, -2.0);
+    }
+
+    #[test]
+    fn every_mutation_rejects_non_finite_valuations() {
+        type Mutation = fn(&mut Hypergraph, f64);
+        let paths: [(&str, Mutation); 5] = [
+            ("add_edge", |h, v| {
+                h.add_edge(vec![0], v);
+            }),
+            ("revalue_edge", |h, v| {
+                h.revalue_edge(0, v);
+            }),
+            ("set_valuations", |h, v| h.set_valuations(|_, _| v)),
+            ("delta add_edge", |h, v| {
+                let mut delta = HypergraphDelta::new();
+                delta.add_edge([1].into_iter().collect(), v);
+                h.apply_delta(delta);
+            }),
+            ("delta revalue_edge", |h, v| {
+                let mut delta = HypergraphDelta::new();
+                delta.revalue_edge(1, v);
+                h.apply_delta(delta);
+            }),
+        ];
+        for v in [f64::INFINITY, f64::NAN] {
+            for (name, mutate) in paths {
+                let mut h = sample();
+                let outcome =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mutate(&mut h, v)));
+                let message = outcome
+                    .expect_err(name)
+                    .downcast_ref::<&str>()
+                    .map(|m| m.to_string());
+                assert_eq!(
+                    message.as_deref(),
+                    Some("valuations must be finite and non-negative"),
+                    "{name} with {v}"
+                );
+            }
+        }
     }
 
     #[test]
