@@ -585,7 +585,7 @@ fn run_crash_one(
             s.revenue.to_bits(),
             "WAL replay revenue diverged from the live ledger on shard {i}"
         );
-        assert_eq!(ledger.sales.len() as u64, s.sales, "shard {i} sales");
+        assert_eq!(ledger.sales.len(), s.sales, "shard {i} sales");
         assert_eq!(ledger.declined_count, s.declines, "shard {i} declines");
     }
 

@@ -580,6 +580,12 @@ mod tests {
         assert_eq!(stats.iter().map(|s| s.sales).sum::<u64>(), 1);
         let revenue: f64 = stats.iter().map(|s| s.revenue).sum();
         assert!((revenue - 5.0).abs() < 1e-12);
+        // The idle shard's STATS carry the empty sum's `-0.0`, bit for bit.
+        let idle = stats
+            .iter()
+            .find(|s| s.sales == 0)
+            .expect("one shard is idle");
+        assert_eq!(idle.revenue.to_bits(), (-0.0f64).to_bits());
 
         drop(client);
         server.shutdown();

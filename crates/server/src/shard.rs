@@ -367,7 +367,7 @@ impl ShardSet {
         let set = ShardSet::with_cache_capacity(brokers, cache_capacity)
             .with_store(store, snapshot_every);
         for (shard, ledger) in set.shards.iter().zip(&state.shards) {
-            *shard.ledger.lock() = ledger.clone();
+            *shard.ledger.lock() = *ledger;
         }
         // The counter holds the count of ids issued so far; replayed
         // `next_quote_id` is the next id to hand out, i.e. counter + 1.
@@ -491,14 +491,15 @@ impl ShardSet {
                 // so it lands in the serving shard's ledger as a decline
                 // (and in the WAL, so recovery reproduces it). Evictions
                 // pop the smallest id, so the watermark stays the exact
-                // boundary below which `settle` reports `Expired`.
-                self.evicted_watermark
-                    .fetch_max(evicted_id, Ordering::SeqCst);
+                // boundary below which `settle` reports `Expired`; it moves
+                // under the durability lock, so a snapshot reads exactly
+                // the watermark its `wal_seq` implies.
                 let shard = &self.shards[evicted.shard];
                 // ordering: Relaxed — statistics counter.
                 shard.evictions.fetch_add(1, Ordering::Relaxed);
                 self.telemetry.evicted.inc();
-                self.durability.lock().book(
+                let dur = self.durability.lock();
+                dur.book(
                     &shard.ledger,
                     &WalRecord::Decline {
                         quote_id: evicted_id,
@@ -508,6 +509,8 @@ impl ShardSet {
                         evicted: true,
                     },
                 );
+                self.evicted_watermark
+                    .fetch_max(evicted_id, Ordering::SeqCst);
             }
             pending.insert(
                 quote_id,
@@ -639,8 +642,9 @@ impl ShardSet {
     }
 
     /// Writes a full-state snapshot. The caller holds the durability lock,
-    /// which keeps settles out: the ledgers cloned here are exactly the
-    /// state produced by WAL records `1..=wal_seq`.
+    /// which keeps settles and evictions out: the ledgers and watermark
+    /// copied here are exactly the state produced by WAL records
+    /// `1..=wal_seq`.
     fn write_snapshot_locked(&self, dur: &Durability) {
         let Some(store) = &dur.store else { return };
         let (pricing, epoch) = self.shards[0].broker.pricing_snapshot();
@@ -651,12 +655,9 @@ impl ShardSet {
             // hand out is one past it. Ids issued after the snapshot's
             // wal_seq only ever push this forward during replay.
             next_quote_id: self.next_quote_id.load(Ordering::SeqCst) + 1,
+            evicted_watermark: self.evicted_watermark.load(Ordering::SeqCst),
             pricing,
-            shards: self
-                .shards
-                .iter()
-                .map(|s| s.ledger.lock().clone())
-                .collect(),
+            shards: self.shards.iter().map(|s| *s.ledger.lock()).collect(),
         };
         if let Err(e) = store.write_snapshot(&snapshot) {
             // Snapshot failure is not data loss (the WAL still has every
@@ -697,7 +698,7 @@ impl ShardSet {
                     cache_hits: hits,
                     invalidations,
                     evictions,
-                    sales: ledger.sales.len() as u64,
+                    sales: ledger.sales.len(),
                     declines: ledger.declined_count,
                     revenue: ledger.total(),
                 }
@@ -717,7 +718,7 @@ mod tests {
     use qp_market::SupportConfig;
     use qp_pricing::Pricing;
     use qp_qdb::{ColumnType, Database, Query, Relation, Schema, Value};
-    use qp_store::{MemStore, SaleEntry, Store};
+    use qp_store::{MemStore, Store};
     use std::collections::VecDeque;
 
     fn tiny_broker() -> Arc<Broker> {
@@ -953,19 +954,20 @@ mod tests {
     }
 
     /// A ledger with its floats as bit patterns, for exact comparison.
-    fn ledger_bits(l: &LedgerSnapshot) -> (Vec<[u64; 3]>, u64, u64) {
-        let sale = |s: &SaleEntry| [s.bundle_len.into(), s.price.to_bits(), s.tick];
-        (
-            l.sales.iter().map(sale).collect(),
+    fn ledger_bits(l: &LedgerSnapshot) -> [u64; 4] {
+        [
+            l.sales.len(),
+            l.total().to_bits(),
             l.declined_count,
             l.declined_total.to_bits(),
-        )
+        ]
     }
 
     /// What the log alone pins of the quote-id allocator: one past every
-    /// logged id (or the snapshot's counter), and the highest eviction
-    /// since the last snapshot. Quotes are not logged, so these trail the
-    /// live counters until the quote is settled or evicted.
+    /// logged id (or the snapshot's counter), and the highest eviction.
+    /// Quotes are not logged, so the next id trails the live counter until
+    /// the quote is settled or evicted; evictions are logged as they
+    /// happen, so the watermark never trails.
     #[derive(Default)]
     struct LoggedIds {
         next_quote_id: u64,
@@ -973,9 +975,9 @@ mod tests {
     }
 
     /// Recovers `store` and asserts the replay equals the live set: the
-    /// per-shard ledgers entry for entry, the pricing and its epoch, and
-    /// the id allocator state the log pins. Returns whether the recovery
-    /// started from a snapshot.
+    /// per-shard ledgers bit for bit, the pricing and its epoch, the
+    /// eviction watermark, and the id allocator state the log pins.
+    /// Returns whether the recovery started from a snapshot.
     fn assert_live_is_replay(live: &ShardSet, store: &dyn Store, logged: &LoggedIds) -> bool {
         let recovery = store.recover().expect("recover");
         let (seed_pricing, seed_epoch) = tiny_broker().pricing_snapshot();
@@ -990,7 +992,10 @@ mod tests {
         assert_eq!(state.evicted_watermark, logged.evicted_watermark);
         // Never past the live allocator: no id a live quote holds is lost.
         assert!(state.next_quote_id <= live.next_quote_id.load(Ordering::SeqCst) + 1);
-        assert!(state.evicted_watermark <= live.evicted_watermark.load(Ordering::SeqCst));
+        assert_eq!(
+            state.evicted_watermark,
+            live.evicted_watermark.load(Ordering::SeqCst)
+        );
         recovery.snapshot.is_some()
     }
 
@@ -1073,7 +1078,6 @@ mod tests {
                         reprices += 1;
                         if reprices % 2 == 0 {
                             logged.next_quote_id = live.next_quote_id.load(Ordering::SeqCst) + 1;
-                            logged.evicted_watermark = 0;
                         }
                     }
                 }
@@ -1114,6 +1118,30 @@ mod tests {
         let bundle: ItemSet = [1usize].as_slice().into();
         let q = recovered.quote(&bundle);
         assert!(q.quote_id > *ids.last().unwrap());
+    }
+
+    #[test]
+    fn quotes_evicted_before_a_snapshot_stay_expired_after_restore() {
+        let store = Arc::new(MemStore::new());
+        let live = shard_set(1)
+            .with_pending_cap(2)
+            .with_store(store.clone(), 2);
+        let bundle: ItemSet = [0usize, 2].as_slice().into();
+        let evicted = live.quote(&bundle).quote_id;
+        for _ in 0..2 {
+            live.quote(&bundle);
+        }
+        assert_eq!(live.settle(evicted, 1e9, 0), SettleOutcome::Expired);
+        // The snapshot covers the eviction, so no logged record after it
+        // could rebuild the watermark.
+        live.snapshot_now();
+        drop(live);
+
+        let (recovered, state) =
+            ShardSet::restore(vec![tiny_broker()], DEFAULT_CACHE_CAPACITY, store, 2)
+                .expect("recovery succeeds");
+        assert!(state.evicted_watermark >= evicted);
+        assert_eq!(recovered.settle(evicted, 1e9, 0), SettleOutcome::Expired);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use parking_lot::atomic::{AtomicBool, Ordering};
 use parking_lot::Mutex;
-use qp_core::codec::{crc32, put_u32};
+use qp_core::codec::{crc32, put_u32, CodecError};
 use qp_telemetry::{Counter, Gauge, TelemetrySink};
 
 use crate::{Recovery, Snapshot, Store, StoreError, WalRecord};
@@ -38,8 +38,10 @@ use crate::{Recovery, Snapshot, Store, StoreError, WalRecord};
 pub const WAL_FILE_NAME: &str = "wal.log";
 /// Magic bytes opening a WAL file.
 pub const WAL_MAGIC: &[u8; 8] = b"QPWAL01\n";
-/// Magic bytes opening a snapshot file.
-const SNAP_MAGIC: &[u8; 8] = b"QPSNAP1\n";
+/// Magic bytes opening a snapshot file. A file of another format version
+/// fails this check and is skipped like any corrupt snapshot; recovery then
+/// replays the WAL from an older snapshot or from the start.
+const SNAP_MAGIC: &[u8; 8] = b"QPSNAP2\n";
 /// Ceiling on a single frame payload: anything larger is corruption.
 const MAX_FRAME: usize = 1 << 26;
 /// How many snapshot files to retain.
@@ -379,15 +381,10 @@ impl Store for FileStore {
     }
 
     fn write_snapshot(&self, snapshot: &Snapshot) -> Result<(), StoreError> {
+        let bytes = snapshot_file_bytes(&snapshot.encode())?;
         // The snapshot claims every record ≤ wal_seq is reflected; make
         // those records at least as durable as the snapshot itself first.
         self.sync()?;
-        let payload = snapshot.encode();
-        let mut bytes = Vec::with_capacity(16 + payload.len());
-        bytes.extend_from_slice(SNAP_MAGIC);
-        put_u32(&mut bytes, payload.len() as u32);
-        put_u32(&mut bytes, crc32(&payload));
-        bytes.extend_from_slice(&payload);
         let final_path = self.dir.join(snapshot_file_name(snapshot.wal_seq));
         let tmp_path = self.dir.join("snap.tmp");
         {
@@ -424,14 +421,10 @@ impl Store for FileStore {
             }
         }
         let bytes = fs::read(self.dir.join(WAL_FILE_NAME))?;
-        let (records, valid_end, _) = scan_wal(&bytes);
+        let (mut records, valid_end, _) = scan_wal(&bytes);
         let truncated_bytes = (bytes.len() - valid_end) as u64;
         let skip = snapshot.as_ref().map_or(0, |s: &Snapshot| s.wal_seq) as usize;
-        let wal = if skip >= records.len() {
-            Vec::new()
-        } else {
-            records[skip..].to_vec()
-        };
+        let wal = records.split_off(skip.min(records.len()));
         self.telemetry.recovery_records.add(wal.len() as u64);
         if truncated_bytes > 0 {
             // The scan stops at the first bad frame; everything after the
@@ -504,6 +497,21 @@ fn scan_wal(bytes: &[u8]) -> (Vec<WalRecord>, usize, bool) {
     }
 }
 
+/// A snapshot file's bytes: the magic, then `payload` in one CRC frame.
+/// A payload over [`MAX_FRAME`] is an error, since [`read_snapshot`] would
+/// skip the file as corrupt.
+fn snapshot_file_bytes(payload: &[u8]) -> Result<Vec<u8>, StoreError> {
+    if payload.len() > MAX_FRAME {
+        return Err(CodecError::BadLength(payload.len() as u64).into());
+    }
+    let mut bytes = Vec::with_capacity(16 + payload.len());
+    bytes.extend_from_slice(SNAP_MAGIC);
+    put_u32(&mut bytes, payload.len() as u32);
+    put_u32(&mut bytes, crc32(payload));
+    bytes.extend_from_slice(payload);
+    Ok(bytes)
+}
+
 /// Reads and validates one snapshot file; any failure means "skip it".
 fn read_snapshot(path: &Path) -> Option<Snapshot> {
     let bytes = fs::read(path).ok()?;
@@ -558,6 +566,7 @@ mod tests {
                     epoch: 2,
                     wal_seq: 3,
                     next_quote_id: 3,
+                    evicted_watermark: 0,
                     pricing: Pricing::UniformBundle { price: 1.5 },
                     shards: vec![LedgerSnapshot::default()],
                 })
@@ -597,6 +606,7 @@ mod tests {
                     epoch: seq,
                     wal_seq: seq + 1,
                     next_quote_id: seq + 1,
+                    evicted_watermark: 0,
                     pricing: Pricing::UniformBundle { price: 0.0 },
                     shards: vec![],
                 })
@@ -606,6 +616,43 @@ mod tests {
         assert_eq!(kept.len(), SNAPSHOTS_KEPT);
         let newest = kept.last().unwrap().file_name().unwrap().to_str().unwrap();
         assert_eq!(newest, snapshot_file_name(6));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn oversized_snapshots_are_refused_not_written() {
+        // Zeroed pages are mapped lazily and the check runs before any
+        // copy, so this 64 MiB payload costs next to no memory.
+        let payload = vec![0u8; MAX_FRAME + 1];
+        assert!(matches!(
+            snapshot_file_bytes(&payload),
+            Err(StoreError::Codec(CodecError::BadLength(n))) if n == MAX_FRAME as u64 + 1
+        ));
+        let bytes = snapshot_file_bytes(&[7, 8]).unwrap();
+        assert_eq!(&bytes[..8], SNAP_MAGIC);
+        assert_eq!(bytes.len(), 16 + 2);
+    }
+
+    #[test]
+    fn recovery_keeps_only_the_suffix_past_the_snapshot() {
+        let dir = test_dir("suffix");
+        let store = FileStore::open(&dir).unwrap();
+        for i in 0..4 {
+            store.append(&sale(i)).unwrap();
+        }
+        let snapshot = |wal_seq| Snapshot {
+            epoch: 0,
+            wal_seq,
+            next_quote_id: wal_seq,
+            evicted_watermark: 0,
+            pricing: Pricing::UniformBundle { price: 1.5 },
+            shards: vec![],
+        };
+        store.write_snapshot(&snapshot(4)).unwrap();
+        assert!(store.recover().unwrap().wal.is_empty());
+        // A snapshot past the log's end (its tail was torn) leaves no suffix.
+        store.write_snapshot(&snapshot(9)).unwrap();
+        assert!(store.recover().unwrap().wal.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -29,8 +29,9 @@
 //! [`LedgerSnapshot::apply`], the same fold the live shard set runs on
 //! every record it appends — so the replay is the live books,
 //! **bit-identically**:
-//! floats travel as raw bit patterns end to end, and per-shard sale order
-//! is preserved so order-sensitive float summation reproduces exactly.
+//! floats travel as raw bit patterns end to end, and each shard's revenue
+//! is a running sum in WAL order, so order-sensitive float summation
+//! reproduces exactly.
 //!
 //! ## Durability model
 //!
@@ -56,7 +57,7 @@ use qp_pricing::Pricing;
 pub use file::{snapshot_file_name, FileStore, FsyncPolicy, WAL_FILE_NAME, WAL_MAGIC};
 pub use mem::MemStore;
 pub use record::{
-    put_patch, put_pricing, take_patch, take_pricing, LedgerSnapshot, SaleEntry, Snapshot,
+    put_patch, put_pricing, take_patch, take_pricing, LedgerSnapshot, SaleTally, Snapshot,
     WalRecord,
 };
 
@@ -164,19 +165,20 @@ impl Recovery {
         seed_epoch: u64,
         num_shards: usize,
     ) -> ReplayedState {
-        let (mut pricing, mut epoch, mut next_quote_id, mut shards) = match &self.snapshot {
-            Some(snap) => (
-                snap.pricing.clone(),
-                snap.epoch,
-                snap.next_quote_id,
-                snap.shards.clone(),
-            ),
-            None => (seed_pricing, seed_epoch, 0, Vec::new()),
-        };
+        let (mut pricing, mut epoch, mut next_quote_id, mut evicted_watermark, mut shards) =
+            match &self.snapshot {
+                Some(snap) => (
+                    snap.pricing.clone(),
+                    snap.epoch,
+                    snap.next_quote_id,
+                    snap.evicted_watermark,
+                    snap.shards.clone(),
+                ),
+                None => (seed_pricing, seed_epoch, 0, 0, Vec::new()),
+            };
         if shards.len() < num_shards {
             shards.resize(num_shards, LedgerSnapshot::default());
         }
-        let mut evicted_watermark = 0u64;
         for record in &self.wal {
             match record {
                 WalRecord::Sale {
@@ -237,24 +239,16 @@ pub struct ReplayedState {
 }
 
 impl LedgerSnapshot {
-    /// Folds one WAL record into this ledger: a `Sale` appends its entry, a
-    /// `Decline` (buyer decline or pressure eviction) bumps the decline
-    /// tallies, and a `Reprice` leaves the ledger alone. This is the one
-    /// ledger fold: the live shard set applies each record right after
-    /// appending it, and [`Recovery::replay`] applies the same records
-    /// from the log, so live and recovered books agree by construction.
+    /// Folds one WAL record into this ledger: a `Sale` adds its price to the
+    /// sales tally, a `Decline` (buyer decline or pressure eviction) bumps
+    /// the decline tallies, and a `Reprice` leaves the ledger alone. This
+    /// is the one ledger fold: the live shard set applies each record right
+    /// after appending it, and [`Recovery::replay`] applies the same
+    /// records from the log, so live and recovered books agree by
+    /// construction.
     pub fn apply(&mut self, record: &WalRecord) {
         match record {
-            WalRecord::Sale {
-                bundle_len,
-                price,
-                tick,
-                ..
-            } => self.sales.push(SaleEntry {
-                bundle_len: *bundle_len,
-                price: *price,
-                tick: *tick,
-            }),
+            WalRecord::Sale { price, .. } => self.sales.push(*price),
             WalRecord::Decline { price, .. } => {
                 self.declined_count += 1;
                 self.declined_total += *price;
@@ -263,11 +257,11 @@ impl LedgerSnapshot {
         }
     }
 
-    /// Realized revenue: sale prices summed in insertion order. Float
+    /// Realized revenue: sale prices summed in booking order. Float
     /// addition is order-sensitive, so the live books and a replay agree
     /// bit for bit only because both fold records in log order.
     pub fn total(&self) -> f64 {
-        self.sales.iter().map(|s| s.price).sum()
+        self.sales.revenue
     }
 }
 
@@ -280,7 +274,7 @@ impl ReplayedState {
 
     /// Total sales across shards.
     pub fn sales(&self) -> u64 {
-        self.shards.iter().map(|s| s.sales.len() as u64).sum()
+        self.shards.iter().map(|s| s.sales.len()).sum()
     }
 
     /// Total declines across shards (buyer declines + evictions).
@@ -296,6 +290,15 @@ pub type SharedStore = Arc<dyn Store>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn tally(prices: &[f64]) -> SaleTally {
+        let mut tally = SaleTally::default();
+        for &price in prices {
+            tally.push(price);
+        }
+        tally
+    }
 
     fn sale(quote_id: u64, shard: u32, price: f64, tick: u64) -> WalRecord {
         WalRecord::Sale {
@@ -314,13 +317,10 @@ mod tests {
                 epoch: 5,
                 wal_seq: 10,
                 next_quote_id: 100,
+                evicted_watermark: 90,
                 pricing: Pricing::UniformBundle { price: 2.0 },
                 shards: vec![LedgerSnapshot {
-                    sales: vec![SaleEntry {
-                        bundle_len: 1,
-                        price: 2.0,
-                        tick: 0,
-                    }],
+                    sales: tally(&[2.0]),
                     declined_count: 1,
                     declined_total: 2.0,
                 }],
@@ -355,6 +355,29 @@ mod tests {
     }
 
     #[test]
+    fn replay_starts_the_watermark_from_the_snapshot() {
+        let snapshot = Snapshot {
+            epoch: 1,
+            wal_seq: 4,
+            next_quote_id: 9,
+            evicted_watermark: 6,
+            pricing: Pricing::UniformBundle { price: 1.0 },
+            shards: vec![LedgerSnapshot::default()],
+        };
+        let recovery = Recovery {
+            snapshot: Some(snapshot),
+            wal: vec![sale(8, 0, 1.0, 3)],
+            ..Recovery::default()
+        };
+        let state = recovery.replay(Pricing::UniformBundle { price: 0.0 }, 0, 1);
+        assert_eq!(
+            state.evicted_watermark, 6,
+            "no eviction follows the snapshot"
+        );
+        assert_eq!(state.next_quote_id, 9);
+    }
+
+    #[test]
     #[should_panic(expected = "past the replay shard limit")]
     fn replay_bounds_the_shard_index_before_allocating() {
         let recovery = Recovery {
@@ -375,5 +398,49 @@ mod tests {
         assert_eq!(state.next_quote_id, 2);
         assert_eq!(state.revenue().to_bits(), 2.5f64.to_bits());
         assert!(recovery.snapshot.is_none() && !recovery.is_empty());
+    }
+
+    /// A sale price from one of the float classes a running sum can trip
+    /// on: signed zeros, subnormals, magnitudes near `f64::MAX` (whose sums
+    /// overflow to infinity), and ordinary prices.
+    fn price() -> impl Strategy<Value = f64> {
+        (0u8..5, 0u64..=u64::MAX).prop_map(|(class, bits)| match class {
+            0 => {
+                if bits & 1 == 0 {
+                    0.0
+                } else {
+                    -0.0
+                }
+            }
+            1 => f64::from_bits(bits & ((1 << 52) - 1)),
+            2 => f64::from_bits((0x7FEu64 << 52) | (bits & ((1 << 52) - 1))),
+            3 => (bits % 1_000_000) as f64 / 64.0,
+            _ => f64::from_bits((bits & !(0x7FFu64 << 52)) | ((bits % 0x7FF) << 52)),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn tally_fold_is_the_in_order_sum(
+            prices in proptest::collection::vec(price(), 0..64),
+        ) {
+            let mut ledger = LedgerSnapshot::default();
+            for (i, &price) in prices.iter().enumerate() {
+                ledger.apply(&sale(i as u64, 0, price, 0));
+            }
+            let sum: f64 = prices.iter().sum();
+            prop_assert_eq!(ledger.total().to_bits(), sum.to_bits());
+            prop_assert_eq!(ledger.sales.len(), prices.len() as u64);
+            prop_assert_eq!(ledger.sales.is_empty(), prices.is_empty());
+        }
+    }
+
+    #[test]
+    fn an_empty_tally_is_the_empty_sum() {
+        let empty: f64 = std::iter::empty::<f64>().sum();
+        assert_eq!(LedgerSnapshot::default().total().to_bits(), empty.to_bits());
+        assert_eq!(empty.to_bits(), (-0.0f64).to_bits());
     }
 }

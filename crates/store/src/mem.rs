@@ -117,6 +117,7 @@ mod tests {
                 epoch: 1,
                 wal_seq: 3,
                 next_quote_id: 3,
+                evicted_watermark: 0,
                 pricing: Pricing::UniformBundle { price: 1.0 },
                 shards: vec![LedgerSnapshot::default()],
             })

@@ -34,9 +34,9 @@ const PATCH_SET_UNIFORM_WEIGHT: u8 = 3;
 ///
 /// Records carry the quote id so recovery can restore the id allocator past
 /// every id ever settled, and the shard index so per-shard ledgers rebuild
-/// exactly — [`LedgerSnapshot::total`] sums in insertion order, and float
-/// addition is order-sensitive, so replay must put every sale back on the
-/// shard (and in the slot) it originally landed in.
+/// exactly — [`LedgerSnapshot::total`] is a running sum in log order, and
+/// float addition is order-sensitive, so replay must fold every sale back
+/// onto the shard it originally landed on, in log order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// A settled purchase within budget: revenue was recorded.
@@ -157,22 +157,51 @@ impl WalRecord {
     }
 }
 
-/// One recorded sale inside a ledger snapshot, in ledger insertion order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SaleEntry {
-    /// Conflict-set size of the sold bundle.
-    pub bundle_len: u32,
-    /// Sale price (exact bits).
-    pub price: f64,
-    /// Tick the sale landed at.
-    pub tick: u64,
+/// A shard's realized sales as running totals: how many, and the revenue
+/// they brought in. [`SaleTally::push`] adds each price as it is booked, in
+/// WAL order, which is the same sequence of float additions `Iterator::sum`
+/// makes over those prices, so the total is bit-identical to summing a list
+/// of every sale while the tally stays the same size however many there are.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SaleTally {
+    pub(crate) count: u64,
+    pub(crate) revenue: f64,
+}
+
+impl Default for SaleTally {
+    /// No sales. Revenue starts at `-0.0`, the identity `f64`'s `Sum` folds
+    /// from, so an idle shard reports the bits a sum over no sales gives.
+    fn default() -> Self {
+        SaleTally {
+            count: 0,
+            revenue: -0.0,
+        }
+    }
+}
+
+impl SaleTally {
+    /// Books one sale at `price` (exact bits).
+    pub fn push(&mut self, price: f64) {
+        self.count += 1;
+        self.revenue += price;
+    }
+
+    /// Number of sales booked.
+    pub fn len(&self) -> u64 {
+        self.count
+    }
+
+    /// True when no sale has been booked.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
 }
 
 /// The full revenue state of one shard's ledger at snapshot time.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LedgerSnapshot {
-    /// Every sale, in the order the ledger recorded them.
-    pub sales: Vec<SaleEntry>,
+    /// Sales booked, as running totals.
+    pub sales: SaleTally,
     /// Number of declines (buyer declines + pressure evictions).
     pub declined_count: u64,
     /// Sum of declined quote prices (exact bits).
@@ -184,8 +213,8 @@ pub struct LedgerSnapshot {
 /// `wal_seq` keys the snapshot into the log: every WAL record with sequence
 /// number ≤ `wal_seq` is already reflected here, and recovery replays only
 /// the records after it. The pricing epoch is stored alongside so recovery
-/// restores the PR 5 epoch counter exactly (quote caches re-validate against
-/// it, and CI asserts all shards agree on it).
+/// restores the epoch counter exactly (quote caches re-validate against it,
+/// and CI asserts all shards agree on it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Pricing epoch at snapshot time.
@@ -194,6 +223,10 @@ pub struct Snapshot {
     pub wal_seq: u64,
     /// Next quote id the shard set would issue.
     pub next_quote_id: u64,
+    /// Highest quote id evicted under pending-table pressure by a record
+    /// ≤ `wal_seq` (0 when none), so a restored set still reports those
+    /// quotes as expired.
+    pub evicted_watermark: u64,
     /// The installed pricing function (exact bits).
     pub pricing: Pricing,
     /// Per-shard ledger state, indexed by shard.
@@ -207,15 +240,12 @@ impl Snapshot {
         put_u64(&mut buf, self.epoch);
         put_u64(&mut buf, self.wal_seq);
         put_u64(&mut buf, self.next_quote_id);
+        put_u64(&mut buf, self.evicted_watermark);
         put_pricing(&mut buf, &self.pricing);
         put_u64(&mut buf, self.shards.len() as u64);
         for shard in &self.shards {
-            put_u64(&mut buf, shard.sales.len() as u64);
-            for sale in &shard.sales {
-                put_u32(&mut buf, sale.bundle_len);
-                put_f64(&mut buf, sale.price);
-                put_u64(&mut buf, sale.tick);
-            }
+            put_u64(&mut buf, shard.sales.count);
+            put_f64(&mut buf, shard.sales.revenue);
             put_u64(&mut buf, shard.declined_count);
             put_f64(&mut buf, shard.declined_total);
         }
@@ -228,21 +258,16 @@ impl Snapshot {
         let epoch = r.u64()?;
         let wal_seq = r.u64()?;
         let next_quote_id = r.u64()?;
+        let evicted_watermark = r.u64()?;
         let pricing = take_pricing(&mut r)?;
-        let num_shards = r.checked_count(16)?;
+        let num_shards = r.checked_count(32)?;
         let mut shards = Vec::with_capacity(num_shards);
         for _ in 0..num_shards {
-            let num_sales = r.checked_count(20)?;
-            let mut sales = Vec::with_capacity(num_sales);
-            for _ in 0..num_sales {
-                sales.push(SaleEntry {
-                    bundle_len: r.u32()?,
-                    price: r.f64()?,
-                    tick: r.u64()?,
-                });
-            }
             shards.push(LedgerSnapshot {
-                sales,
+                sales: SaleTally {
+                    count: r.u64()?,
+                    revenue: r.f64()?,
+                },
                 declined_count: r.u64()?,
                 declined_total: r.f64()?,
             });
@@ -252,6 +277,7 @@ impl Snapshot {
             epoch,
             wal_seq,
             next_quote_id,
+            evicted_watermark,
             pricing,
             shards,
         })
@@ -413,40 +439,55 @@ mod tests {
         }
     }
 
-    #[test]
-    fn snapshot_round_trips_bit_exactly() {
-        let snap = Snapshot {
+    fn ledger(prices: &[f64], declined_count: u64, declined_total: f64) -> LedgerSnapshot {
+        let mut ledger = LedgerSnapshot {
+            declined_count,
+            declined_total,
+            ..LedgerSnapshot::default()
+        };
+        for &price in prices {
+            ledger.sales.push(price);
+        }
+        ledger
+    }
+
+    fn snapshot(shards: Vec<LedgerSnapshot>) -> Snapshot {
+        Snapshot {
             epoch: 17,
             wal_seq: 1005,
             next_quote_id: 4096,
+            evicted_watermark: 4000,
             pricing: Pricing::Item {
                 weights: vec![0.1, 0.2, 0.30000000000000004],
             },
-            shards: vec![
-                LedgerSnapshot {
-                    sales: vec![
-                        SaleEntry {
-                            bundle_len: 2,
-                            price: 5.5,
-                            tick: 1,
-                        },
-                        SaleEntry {
-                            bundle_len: 9,
-                            price: 0.125,
-                            tick: 4,
-                        },
-                    ],
-                    declined_count: 3,
-                    declined_total: 11.25,
-                },
-                LedgerSnapshot::default(),
-            ],
-        };
+            shards,
+        }
+    }
+
+    #[test]
+    fn snapshot_round_trips_bit_exactly() {
+        let snap = snapshot(vec![
+            ledger(&[5.5, 0.125], 3, 11.25),
+            LedgerSnapshot::default(),
+        ]);
         let bytes = snap.encode();
         let back = Snapshot::decode(&bytes).unwrap();
         assert_eq!(back.encode(), bytes);
+        assert_eq!(back.evicted_watermark, 4000);
         assert_eq!(back.shards.len(), 2);
         assert_eq!(back.shards[0].sales.len(), 2);
+        assert_eq!(back.shards[0].total().to_bits(), 5.625f64.to_bits());
+        // An idle shard keeps the `-0.0` of an empty sum through the codec.
+        assert_eq!(back.shards[1].total().to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn snapshot_size_does_not_grow_with_sales() {
+        let idle = snapshot(vec![LedgerSnapshot::default(); 4]);
+        let prices: Vec<f64> = (0..100_000).map(|i| f64::from(i) * 0.25).collect();
+        let busy = snapshot(vec![ledger(&prices, 7, 3.5); 4]);
+        assert_eq!(busy.shards[0].sales.len(), 100_000);
+        assert_eq!(idle.encode().len(), busy.encode().len());
     }
 
     #[test]
@@ -467,11 +508,12 @@ mod tests {
 
     #[test]
     fn corrupt_counts_do_not_allocate() {
-        // An Item pricing claiming 2^61 weights inside a 30-byte snapshot.
+        // An Item pricing claiming 2^61 weights inside a 41-byte snapshot.
         let mut buf = Vec::new();
         put_u64(&mut buf, 1); // epoch
         put_u64(&mut buf, 0); // wal_seq
         put_u64(&mut buf, 0); // next_quote_id
+        put_u64(&mut buf, 0); // evicted_watermark
         buf.push(super::PRICING_ITEM);
         put_u64(&mut buf, 1 << 61);
         assert!(matches!(

@@ -6,9 +6,10 @@ use std::fs::{self, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
+use qp_core::codec::{crc32, put_f64, put_u32, put_u64};
 use qp_pricing::Pricing;
 use qp_store::{
-    snapshot_file_name, FileStore, LedgerSnapshot, SaleEntry, Snapshot, Store, WalRecord,
+    put_pricing, snapshot_file_name, FileStore, LedgerSnapshot, Snapshot, Store, WalRecord,
     WAL_FILE_NAME,
 };
 
@@ -29,20 +30,15 @@ fn sale(quote_id: u64, price: f64) -> WalRecord {
 }
 
 fn snapshot(epoch: u64, wal_seq: u64) -> Snapshot {
+    let mut ledger = LedgerSnapshot::default();
+    ledger.sales.push(9.0);
     Snapshot {
         epoch,
         wal_seq,
         next_quote_id: wal_seq,
+        evicted_watermark: 0,
         pricing: Pricing::UniformBundle { price: 9.0 },
-        shards: vec![LedgerSnapshot {
-            sales: vec![SaleEntry {
-                bundle_len: 1,
-                price: 9.0,
-                tick: 0,
-            }],
-            declined_count: 0,
-            declined_total: 0.0,
-        }],
+        shards: vec![ledger],
     }
 }
 
@@ -190,5 +186,55 @@ fn corrupt_magic_resets_the_wal_instead_of_guessing() {
     store.append(&sale(0, 1.0)).unwrap();
     let recovery = FileStore::open(&dir).unwrap().recover().unwrap();
     assert_eq!(recovery.wal.len(), 1);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A snapshot file in the version-1 format, which listed every sale
+/// (`bundle_len: u32, price: f64, tick: u64`) and carried no eviction
+/// watermark, holding one shard that sold at `prices`.
+fn v1_snapshot_file(wal_seq: u64, prices: &[f64]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    put_u64(&mut payload, 0); // epoch
+    put_u64(&mut payload, wal_seq);
+    put_u64(&mut payload, wal_seq); // next_quote_id
+    put_pricing(&mut payload, &Pricing::UniformBundle { price: 9.0 });
+    put_u64(&mut payload, 1); // shards
+    put_u64(&mut payload, prices.len() as u64);
+    for (tick, &price) in prices.iter().enumerate() {
+        put_u32(&mut payload, 2); // bundle_len
+        put_f64(&mut payload, price);
+        put_u64(&mut payload, tick as u64);
+    }
+    put_u64(&mut payload, 0); // declined_count
+    put_f64(&mut payload, 0.0); // declined_total
+    let mut bytes = b"QPSNAP1\n".to_vec();
+    put_u32(&mut bytes, payload.len() as u32);
+    put_u32(&mut bytes, crc32(&payload));
+    bytes.extend_from_slice(&payload);
+    bytes
+}
+
+#[test]
+fn version_one_snapshot_is_skipped_and_the_wal_replayed() {
+    let dir = test_dir("snapv1");
+    drop(seed_wal(&dir, 5));
+    let prices: Vec<f64> = (0..5).map(|i| 1.0 + i as f64).collect();
+    fs::write(
+        dir.join(snapshot_file_name(5)),
+        v1_snapshot_file(5, &prices),
+    )
+    .unwrap();
+
+    let recovery = FileStore::open(&dir).unwrap().recover().unwrap();
+    assert!(recovery.snapshot.is_none(), "a v1 file is never decoded");
+    assert_eq!(recovery.snapshots_skipped, 1);
+    assert_eq!(recovery.wal.len(), 5, "the full WAL replays instead");
+    let state = recovery.replay(Pricing::UniformBundle { price: 9.0 }, 0, 1);
+    let revenue: f64 = prices.iter().sum();
+    let ledger = &state.shards[0];
+    assert_eq!(ledger.sales.len(), 5);
+    assert_eq!(ledger.total().to_bits(), revenue.to_bits());
+    assert_eq!(ledger.declined_count, 0);
+    assert_eq!(state.next_quote_id, 5);
     let _ = fs::remove_dir_all(&dir);
 }
