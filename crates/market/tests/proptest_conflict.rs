@@ -270,6 +270,53 @@ fn join_pool() -> Vec<Query> {
                 (Expr::col("bonus").mul(Expr::col("amount")), "x"),
             ])
             .aggregate(vec!["sales_region"], vec![(AggFunc::Sum, Some("x"), "s")]),
+        // Filters directly over a join. A conjunct that reads one input
+        // runs below the join: on the perturbed tuple when that input is
+        // the spine, on the side's index otherwise.
+        // A side-only conjunct with the spine on the left (T = Sales), a
+        // spine-only one with it on the right (T = Targets).
+        sales_targets().filter(Expr::col("bonus").gt(Expr::lit(1.5))),
+        // A side-only conjunct with the spine on the right (T = Sales).
+        Query::scan("Targets")
+            .join(Query::scan("Sales"), vec![("region", "region")])
+            .filter(Expr::col("bonus").lt(Expr::lit(2.0)))
+            .project_cols(&["category", "amount"]),
+        // Two spine-only conjuncts for T = Sales.
+        sales_targets().filter(
+            Expr::col("category")
+                .eq(Expr::lit("cat1"))
+                .and(Expr::col("amount").ge(Expr::lit(0))),
+        ),
+        // A mixed conjunct stays above the join; the other one moves.
+        sales_targets().filter(
+            Expr::col("amount")
+                .gt(Expr::col("bonus"))
+                .and(Expr::col("level").is_null().not()),
+        ),
+        // `r.region` is Targets' region: on an `amount = level` join it
+        // differs from Sales' `region`.
+        Query::scan("Sales")
+            .join(Query::scan("Targets"), vec![("amount", "level")])
+            .filter(
+                Expr::col("r.region")
+                    .eq(Expr::lit("region1"))
+                    .and(Expr::col("region").ne(Expr::lit("region2"))),
+            ),
+        // An OR reads both inputs and is not split.
+        sales_targets().filter(
+            Expr::col("bonus")
+                .gt(Expr::lit(2.0))
+                .or(Expr::col("amount").lt(Expr::lit(0))),
+        ),
+        // A grouped float SUM over a filtered side (T = Sales): folding
+        // tenths is order-sensitive.
+        sales_targets()
+            .filter(
+                Expr::col("bonus")
+                    .lt(Expr::lit(2.5))
+                    .and(Expr::col("amount").ge(Expr::lit(-10))),
+            )
+            .aggregate(vec!["category"], vec![(AggFunc::Sum, Some("bonus"), "s")]),
         // Fallbacks: a self-join and a LIMIT.
         Query::scan("Targets")
             .join(Query::scan("Targets"), vec![("region", "region")])
@@ -279,7 +326,7 @@ fn join_pool() -> Vec<Query> {
 }
 
 /// Index in [`join_pool`] of the first shape without a delta plan.
-const FIRST_FALLBACK: usize = 10;
+const FIRST_FALLBACK: usize = 17;
 
 #[test]
 fn join_pool_plans_and_fallbacks_are_as_labelled() {

@@ -7,7 +7,7 @@ use qp_market::{
 use qp_qdb::{Database, DeltaPlan, Query};
 use qp_workloads::queries::skewed;
 use qp_workloads::world::{self, WorldConfig};
-use qp_workloads::{ssb, Scale};
+use qp_workloads::{ssb, tpch, Scale};
 
 const SUPPORT: usize = 150;
 
@@ -51,6 +51,22 @@ fn sampled_ssb_queries_match_the_naive_engine() {
         .chain(queries[51..].iter().step_by(37))
         .cloned()
         .collect();
+    assert_engines_agree(&db, &sample);
+}
+
+#[test]
+fn sampled_tpch_queries_match_the_naive_engine() {
+    let db = tpch::generate(&tpch::TpchConfig::at_scale(Scale::Test));
+    let queries = tpch::workload().queries;
+    // Every per-year (Q1, Q4, Q6, Q12), per-region and per-material
+    // query, then a stride through the p_type (Q16) and p_container (Q17)
+    // families. Q12, the per-region Q2 and Q17 filter over their joins.
+    let sample: Vec<Query> = queries[..30]
+        .iter()
+        .chain(queries[30..].iter().step_by(7))
+        .cloned()
+        .collect();
+    assert!(sample.iter().all(|q| !falls_back(q, &db)));
     assert_engines_agree(&db, &sample);
 }
 

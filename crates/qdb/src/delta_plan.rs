@@ -15,6 +15,22 @@
 //! tuple through the spine (filter, project, probe) and compares the two
 //! contributions; no database, schema or evaluator call is involved.
 //!
+//! A filter directly above a join is split at its top-level `AND`s, and
+//! each conjunct is placed by the join-output columns it reads (bound
+//! indices, so an `r.`-renamed column belongs to the right input):
+//!
+//! * a conjunct on the spine's input alone becomes a filter step just below
+//!   the join, so a tuple it rejects is neither copied nor probed;
+//! * a conjunct on the materialized side alone decides which side rows
+//!   enter the hash index. Rows keep their positions in the unfiltered
+//!   side, so leaf sizes and provenance are those of the plain join;
+//! * a conjunct reading both inputs, or no column, stays in a filter step
+//!   above the join.
+//!
+//! The split is exact: a conjunct's value never depends on where it is
+//! evaluated, `eval` never fails, and `AND` is the conjunction of its
+//! operands' truthiness.
+//!
 //! An optional root operator sits above the SPJ tree:
 //!
 //! * `Distinct` keeps the multiplicity of every SPJ output row over `D`. A
@@ -36,12 +52,10 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use crate::eval::{
-    bind_projection, hash_index, join_columns, join_key, join_schema, BoundAggregate,
-};
-use crate::expr::BoundExpr;
+use crate::eval::{bind_projection, join_columns, join_key, join_schema, BoundAggregate};
+use crate::expr::{BinOp, BoundExpr};
 use crate::relation::Tuple;
-use crate::{Database, QdbError, Query, Relation, Schema, Value};
+use crate::{Database, Expr, QdbError, Query, Relation, Schema, Value};
 
 /// An SPJ output row: its provenance (see the module docs) and its values.
 type Row = (u128, Tuple);
@@ -70,7 +84,8 @@ enum Step<'a> {
 #[derive(Debug)]
 struct JoinStep<'a> {
     side: Cow<'a, Relation>,
-    /// Hash index of `side` on its join columns.
+    /// Hash index on the join columns of the `side` rows that pass the
+    /// side-only conjuncts of a filter above the join (see the module docs).
     index: HashMap<Vec<Value>, Vec<usize>>,
     /// Join columns of the spine row.
     spine_keys: Vec<usize>,
@@ -329,6 +344,9 @@ impl<'a> Spine<'a, '_> {
                 Ok(rel.schema().clone())
             }
             Query::Filter { input, predicate } => {
+                if let Query::Join { left, right, on } = input.as_ref() {
+                    return self.join(left, right, on, Some(predicate));
+                }
                 let schema = self.walk(input)?;
                 self.steps.push(Step::Filter(predicate.bind(&schema)?));
                 Ok(schema)
@@ -339,42 +357,102 @@ impl<'a> Spine<'a, '_> {
                 self.steps.push(Step::Project(bound));
                 Ok(out)
             }
-            Query::Join { left, right, on } => {
-                let spine_left = match (left.scans_of(self.table), right.scans_of(self.table)) {
-                    (1, 0) => true,
-                    (0, 1) => false,
-                    _ => return Err(Unfit::Shape),
-                };
-                // Leaves are numbered left to right: a left side comes
-                // before the spine's leaves, a right side after them.
-                let (spine_schema, side, leaf) = if spine_left {
-                    let schema = self.walk(left)?;
-                    let side = self.materialize(right)?;
-                    let leaf = self.push_leaf(side.len());
-                    (schema, side, leaf)
-                } else {
-                    let side = self.materialize(left)?;
-                    let leaf = self.push_leaf(side.len());
-                    (self.walk(right)?, side, leaf)
-                };
-                let (out, spine_keys, side_keys) = if spine_left {
-                    let (l, r) = join_columns(&spine_schema, side.schema(), on)?;
-                    (join_schema(&spine_schema, side.schema()), l, r)
-                } else {
-                    let (l, r) = join_columns(side.schema(), &spine_schema, on)?;
-                    (join_schema(side.schema(), &spine_schema), r, l)
-                };
-                self.steps.push(Step::Join(JoinStep {
-                    index: hash_index(side.rows(), &side_keys),
-                    side,
-                    spine_keys,
-                    spine_left,
-                    leaf,
-                }));
-                Ok(out)
-            }
+            Query::Join { left, right, on } => self.join(left, right, on, None),
             _ => Err(Unfit::Shape),
         }
+    }
+
+    /// Compiles a join whose spine is one of its inputs, and `predicate`,
+    /// the filter directly above it, if any: each of the filter's top-level
+    /// conjuncts that reads only one input is applied below the join.
+    fn join(
+        &mut self,
+        left: &Query,
+        right: &Query,
+        on: &[(String, String)],
+        predicate: Option<&Expr>,
+    ) -> Result<Schema, Unfit> {
+        let spine_left = match (left.scans_of(self.table), right.scans_of(self.table)) {
+            (1, 0) => true,
+            (0, 1) => false,
+            _ => return Err(Unfit::Shape),
+        };
+        // Leaves are numbered left to right: a left side comes before the
+        // spine's leaves, a right side after them.
+        let (spine_schema, side, leaf) = if spine_left {
+            let schema = self.walk(left)?;
+            let side = self.materialize(right)?;
+            let leaf = self.push_leaf(side.len());
+            (schema, side, leaf)
+        } else {
+            let side = self.materialize(left)?;
+            let leaf = self.push_leaf(side.len());
+            (self.walk(right)?, side, leaf)
+        };
+        let (out, spine_keys, side_keys, left_arity) = if spine_left {
+            let (l, r) = join_columns(&spine_schema, side.schema(), on)?;
+            let out = join_schema(&spine_schema, side.schema());
+            (out, l, r, spine_schema.arity())
+        } else {
+            let (l, r) = join_columns(side.schema(), &spine_schema, on)?;
+            let out = join_schema(side.schema(), &spine_schema);
+            (out, r, l, side.schema().arity())
+        };
+
+        // Sort the conjuncts by the input whose columns they read: a join
+        // row is the left row followed by the right row.
+        let conjuncts = match predicate {
+            Some(p) => p.bind(&out)?.conjuncts(),
+            None => Vec::new(),
+        };
+        let (mut on_spine, mut on_side, mut above) = (Vec::new(), Vec::new(), Vec::new());
+        for mut c in conjuncts {
+            let mut reads = [false; 2];
+            c.visit_columns(&mut |i| reads[usize::from(*i >= left_arity)] = true);
+            let reads_left = match reads {
+                [true, false] => true,
+                [false, true] => {
+                    c.visit_columns(&mut |i| *i -= left_arity);
+                    false
+                }
+                _ => {
+                    above.push(c);
+                    continue;
+                }
+            };
+            if reads_left == spine_left {
+                on_spine.push(c);
+            } else {
+                on_side.push(c);
+            }
+        }
+
+        if let Some(p) = conjoin(on_spine) {
+            self.steps.push(Step::Filter(p));
+        }
+        // Side rows the filter rejects stay out of the index but keep their
+        // positions, so leaf sizes and provenance do not change.
+        let on_side = conjoin(on_side);
+        let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+        for (i, row) in side.rows().iter().enumerate() {
+            if on_side.as_ref().is_some_and(|p| !p.eval_bool(row)) {
+                continue;
+            }
+            if let Some(key) = join_key(row, &side_keys) {
+                index.entry(key).or_default().push(i);
+            }
+        }
+        self.steps.push(Step::Join(JoinStep {
+            side,
+            index,
+            spine_keys,
+            spine_left,
+            leaf,
+        }));
+        if let Some(p) = conjoin(above) {
+            self.steps.push(Step::Filter(p));
+        }
+        Ok(out)
     }
 
     /// Appends a leaf of `size` rows and returns its index.
@@ -390,6 +468,32 @@ impl<'a> Spine<'a, '_> {
             q => q.evaluate(self.db).map(Cow::Owned),
         }
     }
+}
+
+#[cfg(test)]
+impl DeltaPlan<'_> {
+    /// The spine's steps, bottom-up: `filter`, `project`, or `join k/n` for
+    /// a join whose index holds `k` of its side's `n` rows.
+    fn layout(&self) -> Vec<String> {
+        let describe = |step: &Step<'_>| match step {
+            Step::Filter(_) => "filter".to_string(),
+            Step::Project(_) => "project".to_string(),
+            Step::Join(j) => {
+                let indexed: usize = j.index.values().map(Vec::len).sum();
+                format!("join {indexed}/{}", j.side.len())
+            }
+        };
+        self.steps.iter().map(describe).collect()
+    }
+}
+
+/// The conjunction of `parts`, or `None` when there are none.
+fn conjoin(parts: Vec<BoundExpr>) -> Option<BoundExpr> {
+    parts.into_iter().reduce(|l, r| BoundExpr::Binary {
+        op: BinOp::And,
+        left: Box::new(l),
+        right: Box::new(r),
+    })
 }
 
 /// Bag equality of two contributions' rows (provenance ignored), as
@@ -450,6 +554,24 @@ mod tests {
                 .filter(Expr::col("region").ne(Expr::lit("east")))
                 .join(Query::scan("Orders"), vec![("id", "cust")])
                 .aggregate(vec!["region"], vec![(AggFunc::Sum, Some("amount"), "s")]),
+            // Filters over joins: a side-only and a spine-only conjunct for
+            // either table, then a mixed conjunct and an OR.
+            joined()
+                .filter(
+                    Expr::col("region")
+                        .ne(Expr::lit("east"))
+                        .and(Expr::col("amount").lt(Expr::lit(1.0))),
+                )
+                .aggregate(vec!["region"], vec![(AggFunc::Sum, Some("amount"), "s")]),
+            Query::scan("Cust")
+                .join(Query::scan("Orders"), vec![("id", "cust")])
+                .filter(
+                    Expr::col("amount").gt(Expr::col("id")).and(
+                        Expr::col("region")
+                            .eq(Expr::lit("north"))
+                            .or(Expr::col("amount").lt(Expr::lit(0.0))),
+                    ),
+                ),
         ]
     }
 
@@ -504,7 +626,10 @@ mod tests {
         // 1e16 and -1e16 cancel only in evaluation order, so a fold in any
         // other order would lose the small amounts.
         let db = db();
-        for q in &queries()[2..] {
+        for q in queries()
+            .iter()
+            .filter(|q| matches!(q, Query::Aggregate { .. }))
+        {
             let plan = DeltaPlan::compile(q, &db, "Cust").unwrap().unwrap();
             let Root::Aggregate { output, .. } = &plan.root else {
                 unreachable!("aggregate query")
@@ -513,6 +638,98 @@ mod tests {
             rows.sort();
             assert_eq!(rows, q.evaluate(&db).unwrap().canonical_rows());
         }
+    }
+
+    /// The layout of `q`'s plan for `table` (see [`DeltaPlan::layout`]).
+    fn layout(q: &Query, db: &Database, table: &str) -> Vec<String> {
+        DeltaPlan::compile(q, db, table).unwrap().unwrap().layout()
+    }
+
+    #[test]
+    fn one_sided_conjuncts_land_below_the_join() {
+        let mut country = Relation::new(Schema::new(vec![
+            ("Code", ColumnType::Str),
+            ("Name", ColumnType::Str),
+        ]));
+        let mut city = Relation::new(Schema::new(vec![
+            ("Name", ColumnType::Str),
+            ("CountryCode", ColumnType::Str),
+        ]));
+        for (code, name) in [
+            ("GRC", "Greece"),
+            ("CYP", "Cyprus"),
+            ("USA", "United States"),
+        ] {
+            country.push(vec![code.into(), name.into()]).unwrap();
+            city.push(vec![format!("{name} City").into(), code.into()])
+                .unwrap();
+        }
+        let mut language = Relation::new(Schema::new(vec![
+            ("CountryCode", ColumnType::Str),
+            ("Language", ColumnType::Str),
+            ("Percentage", ColumnType::Float),
+        ]));
+        for (code, lang, pct) in [
+            ("GRC", "Greek", 98.5),
+            ("CYP", "Greek", 74.1),
+            ("CYP", "Turkish", 22.4),
+            ("USA", "English", 86.2),
+            ("USA", "Greek", 0.3),
+        ] {
+            language
+                .push(vec![code.into(), lang.into(), Value::Float(pct)])
+                .unwrap();
+        }
+        let mut db = Database::new();
+        db.add_table("Country", country);
+        db.add_table("City", city);
+        db.add_table("CountryLanguage", language);
+
+        // The skewed workload's per-language template (Q30).
+        let languages = Query::scan("Country").join(
+            Query::scan("CountryLanguage"),
+            vec![("Code", "CountryCode")],
+        );
+        let q30 = languages
+            .clone()
+            .filter(
+                Expr::col("Language")
+                    .eq(Expr::lit("Greek"))
+                    .and(Expr::col("Percentage").ge(Expr::lit(50.0))),
+            )
+            .project_cols(&["Name"]);
+        // T on the right: the filter runs on the tuple before the probe.
+        assert_eq!(
+            layout(&q30, &db, "CountryLanguage"),
+            ["filter", "join 3/3", "project"]
+        );
+        // T on the left: only the two matching rows enter the index.
+        assert_eq!(layout(&q30, &db, "Country"), ["join 2/5", "project"]);
+
+        // A conjunct reading both inputs stays above the join, and an OR
+        // is one conjunct.
+        let mixed = languages.clone().filter(
+            Expr::col("Percentage")
+                .gt(Expr::lit(50.0))
+                .and(Expr::col("Name").lt(Expr::col("Language"))),
+        );
+        assert_eq!(layout(&mixed, &db, "Country"), ["join 3/5", "filter"]);
+        let either = languages.filter(
+            Expr::col("Name")
+                .eq(Expr::lit("Cyprus"))
+                .or(Expr::col("Language").eq(Expr::lit("Greek"))),
+        );
+        assert_eq!(
+            layout(&either, &db, "CountryLanguage"),
+            ["join 3/3", "filter"]
+        );
+
+        // `r.Name` is the right input's column, whatever its name says.
+        let cities = Query::scan("Country")
+            .join(Query::scan("City"), vec![("Code", "CountryCode")])
+            .filter(Expr::col("r.Name").eq(Expr::lit("Cyprus City")));
+        assert_eq!(layout(&cities, &db, "Country"), ["join 1/3"]);
+        assert_eq!(layout(&cities, &db, "City"), ["filter", "join 3/3"]);
     }
 
     #[test]

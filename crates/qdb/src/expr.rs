@@ -328,6 +328,43 @@ impl BoundExpr {
     pub fn eval_bool(&self, row: &[Value]) -> bool {
         self.eval(row).is_truthy()
     }
+
+    /// Splits the expression at its top-level `AND`s, left to right. As a
+    /// predicate the expression holds exactly when every part does: `eval`
+    /// never fails and `AND` is the conjunction of its operands' truthiness.
+    pub(crate) fn conjuncts(self) -> Vec<BoundExpr> {
+        match self {
+            BoundExpr::Binary {
+                op: BinOp::And,
+                left,
+                right,
+            } => {
+                let mut parts = left.conjuncts();
+                parts.extend(right.conjuncts());
+                parts
+            }
+            e => vec![e],
+        }
+    }
+
+    /// Calls `f` on every column index the expression reads.
+    pub(crate) fn visit_columns(&mut self, f: &mut impl FnMut(&mut usize)) {
+        match self {
+            BoundExpr::Col(i) => f(i),
+            BoundExpr::Lit(_) => {}
+            BoundExpr::Binary { left, right, .. } => {
+                left.visit_columns(f);
+                right.visit_columns(f);
+            }
+            BoundExpr::Not(e) | BoundExpr::IsNull(e) => e.visit_columns(f),
+            BoundExpr::Like { expr, .. } | BoundExpr::InList { expr, .. } => expr.visit_columns(f),
+            BoundExpr::Between { expr, low, high } => {
+                expr.visit_columns(f);
+                low.visit_columns(f);
+                high.visit_columns(f);
+            }
+        }
+    }
 }
 
 fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Value {
