@@ -11,7 +11,7 @@
 //!     --sizes 1000,5000,10000 --queries 40 --out BENCH_conflict.json
 //! ```
 //!
-//! The recorded `threads` field is `std::thread::available_parallelism()` at
+//! The recorded `threads` field is `qp_core::parallel::available_workers()` at
 //! the time of the run — parallel speedups only materialize on multi-core
 //! hardware, and the artifact makes the machine shape part of the record.
 
@@ -48,9 +48,7 @@ fn main() {
     let queries = &workload.queries[..num_queries.min(workload.queries.len())];
     let max_support = sizes.iter().copied().max().unwrap_or(1000);
     let support = SupportSet::generate(&db, &SupportConfig::with_size(max_support));
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let threads = qp_core::parallel::available_workers();
 
     println!(
         "conflict-engine scaling: {} queries, {threads} hardware threads",

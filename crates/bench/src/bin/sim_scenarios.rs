@@ -86,9 +86,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(sizing.ticks);
     let sizing = Sizing { ticks, ..sizing };
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let threads = qp_core::parallel::available_workers();
 
     println!(
         "sim_scenarios: {} workloads, seed {seed}, {} ticks, {threads} hardware threads{}",

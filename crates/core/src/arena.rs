@@ -98,8 +98,9 @@ impl BlockArena {
 /// Per-batch scratch space for quote pipelines: a [`BlockArena`] plus the
 /// reusable containers a batch fills and drains each call.
 ///
-/// `sets` holds the batch's conflict sets in query order; `slots` backs the
-/// parallel work-claiming ledger (`claim_map_into`), one `Option` per item.
+/// `sets` holds the batch's conflict sets in query order; `slots` holds a
+/// parallel batch's results ([`crate::parallel::claim_map_into`]), one
+/// `Option` per item.
 /// Both are drained by the batch that filled them (module docs), so their
 /// *capacity* is what persists across ticks.
 #[derive(Default)]
@@ -108,7 +109,7 @@ pub struct QuoteScratch {
     pub arena: BlockArena,
     /// Batch output: one conflict set per query, in query order.
     pub sets: Vec<ItemSet>,
-    /// Claim-ledger backing for parallel batches; always fully drained.
+    /// Result slots for parallel batches; always fully drained.
     pub slots: Vec<Option<ItemSet>>,
 }
 

@@ -22,10 +22,14 @@
 //! * [`ring`](RingBuffer) — the bounded overwrite-oldest buffer backing
 //!   per-thread telemetry journals and other fixed-size histories;
 //! * [`codec`] — CRC-32 and the little-endian byte-cursor primitives the
-//!   `qp-store` WAL/snapshot record formats are framed with.
+//!   `qp-store` WAL/snapshot record formats are framed with;
+//! * [`parallel`] — the one work-claiming primitive every parallel sweep
+//!   (conflict sets, `qp-sim`'s settles, LPIP's thresholds) runs on, and
+//!   the placement of its workers on CPUs.
 
 mod arena;
 pub mod codec;
+pub mod parallel;
 pub mod reference;
 mod ring;
 mod set;

@@ -12,8 +12,8 @@
 //! | `ordering-comment` | a non-`SeqCst` atomic `Ordering::*` without a `// ordering:` justification comment on the same or a directly preceding line |
 //! | `unwrap-in-server` | `.unwrap()`/`.expect(` on `qp-server` request paths (`crates/server/src`, excluding the panic-by-design loadgen `transport.rs` and `bin/`) |
 //! | `float-eq` | `==`/`!=` against a float literal without `to_bits` or a `// float-eq:` justification comment |
-//! | `alloc-in-kernel` | `Vec::new()` / `.to_vec()` / `collect::<Vec<…>>` in a cache-hot kernel module (`ItemSet`, the incremental repricer, the simplex and its row passes, LPIP's threshold sweep) without an `// alloc:` justification comment (kernels reuse buffers; steady-state allocation is a regression) |
-//! | `unsafe-safety` | an `unsafe` block, fn or impl without a `// SAFETY:` comment on the same or a directly preceding line saying why it is sound |
+//! | `alloc-in-kernel` | `Vec::new()` / `.to_vec()` / `collect::<Vec<…>>` in a cache-hot kernel module (`ItemSet`, the incremental repricer, the simplex and its row passes, LPIP's threshold sweep and the claim loop it runs in) without an `// alloc:` justification comment (kernels reuse buffers; steady-state allocation is a regression) |
+//! | `unsafe-safety` | an `unsafe` block, fn or impl without a `// SAFETY:` comment on the same or a directly preceding line saying why it is sound (library FFI lives in one place, the CPU placement in `qp-core`'s `parallel.rs`) |
 //! | `wallclock` | `Instant::now()` / `SystemTime::now()` outside `qp-telemetry`, `qp-bench`, and `bin/` without a `// timing:` justification comment (ambient clock reads belong in the telemetry layer, where they are provably out-of-band) |
 //!
 //! All rules skip test code (`#[cfg(test)]`/`#[test]` items and everything
@@ -391,15 +391,17 @@ impl Scope<'_> {
 /// The modules whose hot loops are allocation-free by design: the
 /// `ItemSet` representation and kernels, the incremental repricer's
 /// merge machinery, the simplex, whose tableau lives in a workspace
-/// reused across an LP sweep, and its dense row passes, and LPIP's
+/// reused across an LP sweep, and its dense row passes, LPIP's
 /// threshold sweep, whose workers reuse buffers sized before they start
-/// (what keeps a second worker from raising peak RSS).
-const KERNEL_MODULES: [&str; 5] = [
+/// (what keeps a second worker from raising peak RSS), and the claim
+/// loop those workers run in.
+const KERNEL_MODULES: [&str; 6] = [
     "crates/core/src/set.rs",
     "crates/pricing/src/algorithms/incremental.rs",
     "crates/lp/src/simplex.rs",
     "crates/lp/src/kernel.rs",
     "crates/pricing/src/algorithms/lpip.rs",
+    "crates/core/src/parallel.rs",
 ];
 
 const STD_SYNC_DENY: [&str; 4] = ["Mutex", "RwLock", "Condvar", "atomic"];

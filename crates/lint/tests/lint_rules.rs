@@ -84,6 +84,7 @@ fn alloc_kernel_rule_fires_exactly_where_seeded() {
         "crates/lp/src/simplex.rs",
         "crates/lp/src/kernel.rs",
         "crates/pricing/src/algorithms/lpip.rs",
+        "crates/core/src/parallel.rs",
     ] {
         let v = lint_source(kernel, src);
         assert_eq!(fired(&v).len(), 3, "{kernel} is a kernel module");
@@ -107,8 +108,10 @@ fn unsafe_rule_fires_exactly_where_seeded() {
             ("unsafe-safety", 19),
         ]
     );
-    // Every crate's source is in scope; tests are not.
+    // Every crate's source is in scope, the CPU placement's FFI module
+    // included; tests are not.
     assert_eq!(lint_source("crates/server/src/fixture.rs", src).len(), 4);
+    assert_eq!(lint_source("crates/core/src/parallel.rs", src).len(), 4);
     assert!(lint_source("crates/lp/tests/fixture.rs", src).is_empty());
 }
 

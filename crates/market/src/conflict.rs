@@ -25,17 +25,17 @@
 //!   fall back to the naive engine. The two engines are checked against
 //!   each other by `tests/proptest_conflict.rs` and, on the paper's
 //!   workloads, by `tests/workload_oracle.rs`.
-//! * [`ParallelConflictEngine`] fans a query batch across scoped worker
-//!   threads, each running its own [`DeltaConflictEngine`]; workers claim
-//!   queries from a shared `parking_lot`-guarded ledger so expensive queries
-//!   do not serialize behind a static partition. Single-query calls and the
-//!   degenerate one-thread case take the serial path unchanged.
+//! * [`ParallelConflictEngine`] fans a query batch across workers, the
+//!   calling thread included, each running its own [`DeltaConflictEngine`];
+//!   workers claim queries through `qp_core::parallel::claim` so expensive
+//!   queries do not serialize behind a static partition. Single-query calls
+//!   and the degenerate one-thread case take the serial path unchanged.
 
+use qp_core::parallel::{self, claim_map_into};
 use qp_core::{ItemSet, QuoteScratch};
 use qp_pricing::Hypergraph;
 use qp_qdb::{Database, DeltaInstance, DeltaPlan, QdbError, Query, Relation, Tuple};
 
-use crate::parallel::claim_map_into;
 use crate::support::SupportSet;
 
 /// A conflict-set engine bound to a database and a support set.
@@ -217,22 +217,21 @@ impl ConflictEngine for DeltaConflictEngine<'_> {
 // ---------------------------------------------------------------------------
 
 /// A batch-parallel conflict engine: [`ConflictEngine::conflict_sets`] fans
-/// the queries across `std::thread::scope` workers, each running its own
-/// [`DeltaConflictEngine`] over the shared (read-only) database and support.
+/// the queries across `qp_core::parallel::claim` workers, the calling
+/// thread included, each running its own [`DeltaConflictEngine`] over the
+/// shared (read-only) database and support.
 ///
 /// Work distribution is dynamic: workers claim the next unprocessed query
-/// from a shared ledger guarded by a `parking_lot` mutex, so a few expensive
-/// queries (e.g. naive-fallback `LIMIT` queries) do not leave the other
-/// threads idle.
-/// Results land in the ledger at the query's index, preserving order.
+/// from one shared range, so a few expensive queries (e.g. naive-fallback
+/// `LIMIT` queries) do not leave the other threads idle. Results land at
+/// the query's index, preserving order.
 ///
 /// Batches whose total work (queries × support size) is below a small
-/// threshold take the serial path directly — thread spawn and ledger
-/// round-trips would cost more than they save. The same reasoning clamps the
-/// worker count to the hardware parallelism: whenever the effective thread
-/// count is 1 (single-query calls, one-core machines, tiny batches), the
-/// engine is exactly the serial [`DeltaConflictEngine`], regardless of work
-/// size.
+/// threshold take the serial path directly — thread spawn and claim
+/// round-trips would cost more than they save. Whenever the effective
+/// worker count is 1 (single-query calls, one-core machines, tiny
+/// batches), the engine is exactly the serial [`DeltaConflictEngine`],
+/// regardless of work size.
 pub struct ParallelConflictEngine<'a> {
     db: &'a Database,
     support: &'a SupportSet,
@@ -241,34 +240,18 @@ pub struct ParallelConflictEngine<'a> {
 
 impl<'a> ParallelConflictEngine<'a> {
     /// Creates an engine over `db` and `support` with one worker per
-    /// available hardware thread.
+    /// available hardware thread (`qp_core::parallel::available_workers`).
     pub fn new(db: &'a Database, support: &'a SupportSet) -> Self {
-        ParallelConflictEngine::with_threads(db, support, usize::MAX)
+        ParallelConflictEngine::with_threads_forced(db, support, parallel::available_workers())
     }
 
-    /// Creates an engine with at most `threads` workers (must be positive).
-    ///
-    /// The requested count is clamped to the available hardware parallelism:
-    /// asking for more workers than the machine can run concurrently only
-    /// adds spawn and ledger overhead, so on a one-core machine the
-    /// effective count is 1 and batches take the serial path. Use
-    /// [`ParallelConflictEngine::with_threads_forced`] to bypass the clamp
-    /// for overhead measurements.
-    pub fn with_threads(db: &'a Database, support: &'a SupportSet, threads: usize) -> Self {
-        assert!(threads > 0, "at least one worker thread is required");
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        ParallelConflictEngine::with_threads_forced(db, support, threads.min(hw))
-    }
-
-    /// Creates an engine with an *exact* worker count, bypassing the
-    /// hardware-parallelism clamp of [`ParallelConflictEngine::with_threads`].
+    /// Creates an engine with an *exact* worker count (must be positive)
+    /// instead of the machine's.
     ///
     /// This exists for benchmarks that measure threading overhead on
     /// undersized machines and for tests that must exercise the threaded
-    /// path regardless of where they run; production callers should let the
-    /// clamp do its job.
+    /// path regardless of where they run; production callers use
+    /// [`ParallelConflictEngine::new`].
     pub fn with_threads_forced(db: &'a Database, support: &'a SupportSet, threads: usize) -> Self {
         assert!(threads > 0, "at least one worker thread is required");
         ParallelConflictEngine {
@@ -278,7 +261,8 @@ impl<'a> ParallelConflictEngine<'a> {
         }
     }
 
-    /// Number of worker threads a batch call will spawn (at most).
+    /// Number of workers a batch call will run, the caller included (at
+    /// most).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -291,10 +275,10 @@ impl<'a> ParallelConflictEngine<'a> {
     /// across ticks. On the serial path every set is drawn from
     /// `scratch.arena`, so spilled block buffers recycled from earlier
     /// batches make steady-state quoting allocation-free. On the threaded
-    /// path the `scratch.slots` claim ledger is reused across batches (the
+    /// path the `scratch.slots` result buffer is reused across batches (the
     /// per-call allocation that used to dominate small batches), while the
-    /// sets themselves are built by the scoped workers — per-worker arenas
-    /// would not outlive the batch, since workers live only for one call.
+    /// sets themselves are built by the workers — per-worker arenas would
+    /// not outlive the batch, since spawned workers live only for one call.
     pub fn conflict_sets_scratch(&self, queries: &[Query], scratch: &mut QuoteScratch) {
         scratch.sets.clear();
         let workers = self.threads.min(queries.len());
@@ -309,10 +293,12 @@ impl<'a> ParallelConflictEngine<'a> {
             }
             return;
         }
+        let mut engines: Vec<_> = (0..workers)
+            .map(|_| DeltaConflictEngine::new(self.db, self.support))
+            .collect();
         claim_map_into(
             queries,
-            workers,
-            || DeltaConflictEngine::new(self.db, self.support),
+            &mut engines,
             |engine, query| engine.conflict_set(query),
             &mut scratch.slots,
         );
@@ -320,7 +306,7 @@ impl<'a> ParallelConflictEngine<'a> {
             scratch
                 .slots
                 .drain(..)
-                .map(|s| s.expect("scoped workers drain every item")),
+                .map(|s| s.expect("the workers fill every slot")),
         );
     }
 }
@@ -347,7 +333,7 @@ impl ConflictEngine for ParallelConflictEngine<'_> {
     /// Delegates to [`ParallelConflictEngine::conflict_sets_scratch`] with a
     /// throwaway scratch. One effective worker takes the serial path no
     /// matter how large the batch is — a second thread cannot exist to share
-    /// the work, so spawn + ledger overhead would be pure loss. Multi-worker
+    /// the work, so spawn + claim overhead would be pure loss. Multi-worker
     /// batches still fall back to serial below the work threshold.
     fn conflict_sets(&self, queries: &[Query]) -> Vec<ItemSet> {
         let mut scratch = QuoteScratch::new();
@@ -508,7 +494,7 @@ mod tests {
         let serial = DeltaConflictEngine::new(&db, &support);
         for threads in [1, 2, 5] {
             // Forced thread counts so the threaded path is exercised even on
-            // a single-core machine, where `with_threads` would clamp to 1.
+            // a single-core machine, where `new` would run one worker.
             let parallel = ParallelConflictEngine::with_threads_forced(&db, &support, threads);
             assert_eq!(parallel.support_size(), support.len());
             let qs = queries();
@@ -545,15 +531,11 @@ mod tests {
         let hw = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        // `new` and over-asking `with_threads` both land on the hardware
-        // count; `with_threads_forced` keeps the exact request.
+        // `new` lands on the hardware count; `with_threads_forced` keeps the
+        // exact request.
         assert_eq!(ParallelConflictEngine::new(&db, &support).threads(), hw);
         assert_eq!(
-            ParallelConflictEngine::with_threads(&db, &support, usize::MAX).threads(),
-            hw
-        );
-        assert_eq!(
-            ParallelConflictEngine::with_threads(&db, &support, 1).threads(),
+            ParallelConflictEngine::with_threads_forced(&db, &support, 1).threads(),
             1
         );
         assert_eq!(

@@ -15,7 +15,7 @@
 //!    engine that re-evaluates the query on every support database, a
 //!    delta-aware engine with incremental fast paths for the common
 //!    single-table query shapes, and a parallel engine that fans query
-//!    batches across scoped worker threads.
+//!    batches across worker threads, the caller included.
 //! 3. **Arbitrage-freeness** ([`arbitrage`]): empirical verification of the
 //!    information- and combination-arbitrage conditions for a pricing
 //!    function applied through conflict sets (Theorem 1).
@@ -31,7 +31,6 @@
 pub mod arbitrage;
 pub mod broker;
 pub mod conflict;
-pub mod parallel;
 pub mod support;
 
 pub use arbitrage::{
@@ -44,5 +43,4 @@ pub use conflict::{
     build_hypergraph, ConflictEngine, DeltaConflictEngine, NaiveConflictEngine,
     ParallelConflictEngine,
 };
-pub use parallel::{claim_map, claim_map_into};
 pub use support::{SupportConfig, SupportSet};

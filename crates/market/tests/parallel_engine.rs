@@ -24,10 +24,11 @@ fn parallel_and_serial_engines_build_identical_world_hypergraphs() {
     let serial = DeltaConflictEngine::new(&db, &support);
     let h_serial = build_hypergraph(&serial, queries);
 
-    for threads in [1usize, 3, 8] {
-        // Forced counts: `with_threads` clamps to the machine's parallelism,
-        // which would silently reduce this to a serial-vs-serial comparison
-        // on a single-core runner.
+    // 2 is the caller plus one spawned worker, the shape of a 2-CPU machine.
+    for threads in [1usize, 2, 3, 8] {
+        // Forced counts: `new` takes the machine's parallelism, which would
+        // silently reduce this to a serial-vs-serial comparison on a
+        // single-core runner.
         let parallel = ParallelConflictEngine::with_threads_forced(&db, &support, threads);
         let h_parallel = build_hypergraph(&parallel, queries);
         assert_eq!(h_serial.num_items(), h_parallel.num_items());

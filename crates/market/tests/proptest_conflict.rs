@@ -154,7 +154,7 @@ proptest! {
             &SupportConfig { size: rdb.support, seed: rdb.seed, ..Default::default() },
         );
         let serial = DeltaConflictEngine::new(&db, &support);
-        // Forced: `with_threads` clamps to hardware parallelism, which on a
+        // Forced: `new` takes the hardware parallelism, which on a
         // single-core runner would quietly make this serial-vs-serial.
         let parallel = ParallelConflictEngine::with_threads_forced(&db, &support, threads);
         let qs = query_pool();

@@ -20,18 +20,10 @@
 //!
 //! The threshold LPs are independent, and sorted from the highest
 //! threshold down their forced sets only grow, so the LPs grow along the
-//! sweep. They run on `min(2, available_parallelism)` workers: the calling
-//! thread claims thresholds from the front, one scoped thread claims them
-//! from the back, and both take their next index from one
-//! `Mutex<Range<usize>>`, so every threshold is solved exactly once and
-//! the workers meet wherever their speeds put them. One worker, or one
-//! threshold, runs the sweep serially without a spawn. On Linux the back
-//! worker first leaves the caller's CPU for the other CPUs it may use.
-//! Where the scheduler does not balance load between CPUs (a cpuset with
-//! `sched_load_balance` off), a new thread otherwise stays on its parent's
-//! CPU, the two workers take turns, and two workers are no faster than
-//! one: there the sweep's speedup rests on this move. Where the scheduler
-//! does balance load, the move only places the thread early.
+//! sweep. They run through `qp_core::parallel::claim` on
+//! `min(2, available_workers)` workers: the calling thread claims
+//! thresholds from the front and one spawned worker from the back (the
+//! primitive's module docs say how that worker is placed on a CPU).
 //!
 //! *Tie rule.* The serial sweep keeps the first threshold whose revenue
 //! beats every earlier one and 0, the zero pricing's: the lowest index of
@@ -43,7 +35,8 @@
 //! outcome is therefore the serial sweep's, bit for bit, wherever the
 //! workers meet; every rebuilt LP is the serial sweep's LP too (same
 //! variable and row order, `1.0` coefficients, integer objective counts),
-//! kept as [`crate::algorithms::reference::lp_item_price`].
+//! kept as [`crate::algorithms::reference::lp_item_price`]. The rule needs
+//! exactly one back worker, hence at most two workers.
 //!
 //! *Memory.* Each worker owns one [`LpProblem`] and one
 //! [`SimplexWorkspace`], so at most two tableaus are live. The calling
@@ -54,9 +47,7 @@
 //! warm worker allocates only the solver's primal and dual vectors per
 //! threshold.
 
-use std::ops::Range;
-
-use parking_lot::Mutex;
+use qp_core::parallel::{self, End};
 use qp_lp::{ConstraintOp, LpProblem, Sense, SimplexWorkspace};
 
 use crate::hypergraph::LpPriceMemo;
@@ -89,8 +80,7 @@ impl Default for LpipConfig {
 pub fn lp_item_price(h: &Hypergraph, config: &LpipConfig) -> PricingOutcome {
     let key = (config.max_lps, config.max_lp_iterations);
     LpPriceMemo::get_or_solve(&h.lp_prices().lpip, key, || {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(2));
-        lp_item_price_on(h, config, workers)
+        lp_item_price_on(h, config, parallel::available_workers().min(2))
     })
 }
 
@@ -103,39 +93,21 @@ pub(crate) fn lp_item_price_on(
     workers: usize,
 ) -> PricingOutcome {
     let thresholds = thresholds(h, config.max_lps);
-    let claims = Mutex::new(0..thresholds.len());
-    let sweep = Sweep {
-        h,
-        thresholds: &thresholds,
-        max_iterations: config.max_lp_iterations,
-        claims: &claims,
-    };
     let size = thresholds
         .last()
         .map_or(LpSize::default(), |&t| LpSize::of(h, t));
-    let mut front = ThresholdWorker::new(h, size);
-    let best = if workers < 2 || thresholds.len() < 2 {
-        front.run(&sweep, End::Front);
-        front.best
-    } else {
-        let mut back = ThresholdWorker::new(h, size);
-        let caller_cpu = cpu::current();
-        std::thread::scope(|scope| {
-            // Should the OS refuse the thread, the front worker claims every
-            // threshold, and the back worker's revenue of 0 never wins the
-            // merge: the serial sweep's result.
-            let spawned = std::thread::Builder::new().spawn_scoped(scope, || {
-                cpu::leave(caller_cpu);
-                back.run(&sweep, End::Back)
-            });
-            front.run(&sweep, End::Front);
-            if let Ok(back) = spawned {
-                back.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            }
-        });
-        front.merge(back)
-    };
+    // alloc: one worker per thread, sized on the calling thread.
+    let mut workers: Vec<ThresholdWorker> = (0..workers.min(thresholds.len()).max(1))
+        .map(|_| ThresholdWorker::new(h, size))
+        .collect();
+    parallel::claim(&mut workers, thresholds.len(), |worker, i, end| {
+        worker.consider(h, thresholds[i], config.max_lp_iterations, end)
+    });
+    let best = workers
+        .into_iter()
+        .reduce(ThresholdWorker::merge)
+        .expect("at least one worker")
+        .best;
 
     let pricing = Pricing::Item { weights: best };
     let rev = revenue::revenue(h, &pricing);
@@ -201,23 +173,6 @@ impl LpSize {
     }
 }
 
-/// What both workers share: the input, the thresholds and the claim range.
-struct Sweep<'a> {
-    h: &'a Hypergraph,
-    thresholds: &'a [f64],
-    max_iterations: usize,
-    /// The unclaimed threshold indices; the front worker takes from the
-    /// start, the back worker from the end.
-    claims: &'a Mutex<Range<usize>>,
-}
-
-/// The end of the claim range a worker takes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum End {
-    Front,
-    Back,
-}
-
 /// Marks an item that is no variable of the current LP.
 const NO_VAR: usize = usize::MAX;
 
@@ -263,44 +218,33 @@ impl ThresholdWorker {
         }
     }
 
-    /// Claims thresholds from `end` until none is left, keeping the best
-    /// pricing under the tie rule of the module docs.
-    fn run(&mut self, sweep: &Sweep<'_>, end: End) {
-        loop {
-            let claimed = match end {
-                End::Front => sweep.claims.lock().next(),
-                End::Back => sweep.claims.lock().next_back(),
-            };
-            let Some(i) = claimed else {
-                return;
-            };
-            if self
-                .solve(sweep.h, sweep.thresholds[i], sweep.max_iterations)
-                .is_none()
-            {
-                continue;
-            }
-            let rev = revenue::item_pricing_revenue(sweep.h, &self.weights);
-            let better = match end {
-                End::Front => rev > self.best_rev,
-                // The back worker walks downwards: an equal revenue is a
-                // lower index, which the serial sweep would have kept.
-                End::Back => rev >= self.best_rev,
-            };
-            if better {
-                self.best_rev = rev;
-                std::mem::swap(&mut self.best, &mut self.weights);
-            }
+    /// Solves the LP of `threshold`, claimed from `end`, and keeps its
+    /// pricing if it is the best so far under the tie rule of the module
+    /// docs.
+    fn consider(&mut self, h: &Hypergraph, threshold: f64, max_iterations: usize, end: End) {
+        if self.solve(h, threshold, max_iterations).is_none() {
+            return;
+        }
+        let rev = revenue::item_pricing_revenue(h, &self.weights);
+        let better = match end {
+            End::Front => rev > self.best_rev,
+            // The back worker walks downwards: an equal revenue is a
+            // lower index, which the serial sweep would have kept.
+            End::Back => rev >= self.best_rev,
+        };
+        if better {
+            self.best_rev = rev;
+            std::mem::swap(&mut self.best, &mut self.weights);
         }
     }
 
-    /// The best weights of a front worker and the back worker that swept
-    /// the rest: the back's only when strictly better.
-    fn merge(self, back: ThresholdWorker) -> Vec<f64> {
+    /// The best of a front worker and the back worker that swept the
+    /// rest: the back's only when strictly better.
+    fn merge(self, back: ThresholdWorker) -> ThresholdWorker {
         if back.best_rev > self.best_rev {
-            back.best
+            back
         } else {
-            self.best
+            self
         }
     }
 
@@ -362,60 +306,6 @@ impl ThresholdWorker {
         }
         Some(sol.objective)
     }
-}
-
-/// Moving the back worker off the caller's CPU (see the module docs).
-/// Best effort: any failure leaves the thread where the scheduler put it.
-#[cfg(target_os = "linux")]
-mod cpu {
-    /// glibc's `cpu_set_t`: one bit per CPU, 1024 CPUs.
-    type CpuSet = [u64; 16];
-
-    extern "C" {
-        fn sched_getcpu() -> i32;
-        fn sched_getaffinity(pid: i32, size: usize, mask: *mut CpuSet) -> i32;
-        fn sched_setaffinity(pid: i32, size: usize, mask: *const CpuSet) -> i32;
-    }
-
-    /// The CPU the calling thread runs on.
-    pub(super) fn current() -> Option<usize> {
-        // SAFETY: `sched_getcpu` takes no arguments; it returns a CPU
-        // number or -1.
-        usize::try_from(unsafe { sched_getcpu() }).ok()
-    }
-
-    /// Restricts the calling thread to the CPUs it may use other than
-    /// `cpu`; does nothing if `cpu` is the only one.
-    pub(super) fn leave(cpu: Option<usize>) {
-        let Some(cpu) = cpu else {
-            return;
-        };
-        let mut mask: CpuSet = [0; 16];
-        let size = std::mem::size_of::<CpuSet>();
-        // SAFETY: `mask` is a live `CpuSet` of `size` bytes, and pid 0 is
-        // the calling thread.
-        if unsafe { sched_getaffinity(0, size, &mut mask) } != 0 {
-            return;
-        }
-        let Some(word) = mask.get_mut(cpu / 64) else {
-            return;
-        };
-        *word &= !(1 << (cpu % 64));
-        if mask.iter().any(|&w| w != 0) {
-            // SAFETY: as above; the kernel only reads `mask`.
-            unsafe { sched_setaffinity(0, size, &mask) };
-        }
-    }
-}
-
-/// No CPU placement outside Linux.
-#[cfg(not(target_os = "linux"))]
-mod cpu {
-    pub(super) fn current() -> Option<usize> {
-        None
-    }
-
-    pub(super) fn leave(_cpu: Option<usize>) {}
 }
 
 #[cfg(test)]
@@ -524,21 +414,16 @@ mod tests {
     fn split_sweep(h: &Hypergraph, config: &LpipConfig, meet: usize) -> Vec<f64> {
         let thresholds = thresholds(h, config.max_lps);
         let size = LpSize::of(h, *thresholds.last().unwrap());
-        let run = |range: Range<usize>, end| {
-            let claims = Mutex::new(range);
-            let sweep = Sweep {
-                h,
-                thresholds: &thresholds,
-                max_iterations: config.max_lp_iterations,
-                claims: &claims,
-            };
+        let run = |indices: &mut dyn Iterator<Item = usize>, end| {
             let mut worker = ThresholdWorker::new(h, size);
-            worker.run(&sweep, end);
+            for i in indices {
+                worker.consider(h, thresholds[i], config.max_lp_iterations, end);
+            }
             worker
         };
-        let front = run(0..meet, End::Front);
-        let back = run(meet..thresholds.len(), End::Back);
-        front.merge(back)
+        let front = run(&mut (0..meet), End::Front);
+        let back = run(&mut (meet..thresholds.len()).rev(), End::Back);
+        front.merge(back).best
     }
 
     #[test]
@@ -570,24 +455,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn a_thread_that_leaves_a_cpu_runs_elsewhere() {
-        let caller = cpu::current().unwrap();
-        let elsewhere = std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    cpu::leave(Some(caller));
-                    cpu::current().unwrap()
-                })
-                .join()
-                .unwrap()
-        });
-        if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
-            assert_ne!(elsewhere, caller);
         }
     }
 
@@ -698,22 +565,30 @@ mod alloc_tests {
         }
     }
 
+    /// Each worker's allocations are counted on the thread that runs it.
     #[test]
     fn a_sized_sweep_allocates_only_results_per_threshold() {
         for scale in [1, 16] {
             let h = scaled(scale);
             let thresholds = thresholds(&h, None);
-            let claims = Mutex::new(0..thresholds.len());
-            let sweep = Sweep {
-                h: &h,
-                thresholds: &thresholds,
-                max_iterations: 200_000,
-                claims: &claims,
-            };
-            let mut worker = ThresholdWorker::new(&h, LpSize::of(&h, *thresholds.last().unwrap()));
-            let before = allocs();
-            worker.run(&sweep, End::Back);
-            assert_eq!(allocs() - before, 2 * thresholds.len(), "scale {scale}");
+            let size = LpSize::of(&h, *thresholds.last().unwrap());
+            for workers in [1, 2] {
+                let mut states: Vec<_> = (0..workers)
+                    .map(|_| (ThresholdWorker::new(&h, size), 0))
+                    .collect();
+                let before = allocs();
+                parallel::claim(&mut states, thresholds.len(), |(worker, n), i, end| {
+                    let before = allocs();
+                    worker.consider(&h, thresholds[i], 200_000, end);
+                    *n += allocs() - before;
+                });
+                let on_caller = allocs() - before;
+                let worked: usize = states.iter().map(|s| s.1).sum();
+                assert_eq!(worked, 2 * thresholds.len(), "scale {scale}");
+                if workers == 1 {
+                    assert_eq!(on_caller, worked, "the inline claim allocates nothing");
+                }
+            }
         }
     }
 }

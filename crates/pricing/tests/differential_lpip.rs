@@ -1,11 +1,12 @@
 //! The memoized LPIP entry point against the serial reference sweep.
 //!
 //! [`algorithms::lp_item_price`] runs the threshold sweep on
-//! `min(2, available_parallelism)` workers and memoizes the outcome on the
-//! hypergraph; its weights and revenue must equal, bit for bit, those of
-//! [`reference::lp_item_price`]. The one-worker and two-worker paths are
-//! checked one by one, ties and failing LPs included, by the differential
-//! module inside the crate (`algorithms/lpip/differential.rs`).
+//! `min(2, qp_core::parallel::available_workers())` workers and memoizes
+//! the outcome on the hypergraph; its weights and revenue must equal, bit
+//! for bit, those of [`reference::lp_item_price`]. The one-worker and
+//! two-worker paths are checked one by one, ties and failing LPs included,
+//! by the differential module inside the crate
+//! (`algorithms/lpip/differential.rs`).
 
 use qp_pricing::algorithms::{self, reference, LpipConfig};
 use qp_pricing::{Hypergraph, Pricing, PricingOutcome};

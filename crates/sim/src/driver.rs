@@ -22,9 +22,10 @@
 //! price, and the reported [`SettledQuote`] must carry the buyer's true
 //! conflict set (the demand observation repricing is computed from). Two
 //! transports fronting the same pricing state then produce bit-identical
-//! revenue for the same seed, because [`settle_batch`] writes outcomes at
-//! each buyer's arrival index regardless of worker interleaving.
+//! revenue for the same seed, because [`settle_batch_into`] writes outcomes
+//! at each buyer's arrival index regardless of worker interleaving.
 
+use qp_core::parallel::claim_map_into;
 use qp_core::ItemSet;
 use qp_market::{Broker, PurchaseOutcome};
 use qp_pricing::algorithms::PricingPatch;
@@ -88,33 +89,15 @@ pub trait SettleTransport: Sync {
     fn num_items(&self) -> usize;
 }
 
-/// Quotes and settles a batch of buyers, fanning them across `workers`
-/// scoped threads through [`qp_market::claim_map`]. Outcomes land at each
-/// buyer's arrival index, so callers aggregate in a thread-independent
-/// order — the root of the same-seed determinism guarantee.
-pub fn settle_batch<T: SettleTransport>(
-    transport: &T,
-    population: &Population,
-    phase: usize,
-    buyers: &[Buyer],
-    tick: u64,
-    workers: usize,
-) -> Vec<SettledQuote> {
-    qp_market::claim_map(
-        buyers,
-        workers,
-        || transport.worker(),
-        |worker, buyer| worker.quote_and_settle(population, phase, buyer, tick),
-    )
-}
-
-/// [`settle_batch`] writing into a caller-owned slot buffer instead of
-/// allocating a fresh outcome `Vec` per tick.
+/// Quotes and settles a batch of buyers on `workers` workers (at least
+/// one), the calling thread included, through
+/// `qp_core::parallel::claim_map_into`; the workers' [`SettleWorker`]s are
+/// built on the calling thread.
 ///
 /// `slots` is cleared, then holds `Some(outcome)` at every buyer's arrival
-/// index; the engine drains it each tick so only its *capacity* persists.
-/// Same determinism contract as [`settle_batch`] — outcome order is arrival
-/// order regardless of worker interleaving.
+/// index, so callers aggregate in a thread-independent order — the root of
+/// the same-seed determinism guarantee. The engine drains it each tick so
+/// only its *capacity* persists.
 pub fn settle_batch_into<T: SettleTransport>(
     transport: &T,
     population: &Population,
@@ -124,10 +107,12 @@ pub fn settle_batch_into<T: SettleTransport>(
     workers: usize,
     slots: &mut Vec<Option<SettledQuote>>,
 ) {
-    qp_market::claim_map_into(
+    let mut states: Vec<T::Worker> = (0..workers.max(1).min(buyers.len()))
+        .map(|_| transport.worker())
+        .collect();
+    claim_map_into(
         buyers,
-        workers,
-        || transport.worker(),
+        &mut states,
         |worker, buyer| worker.quote_and_settle(population, phase, buyer, tick),
         slots,
     )
@@ -265,10 +250,19 @@ mod tests {
                 budget: i as f64,
             })
             .collect();
-        let serial = settle_batch(&transport, &pop, 1, &buyers, 7, 1);
-        for workers in [2, 4, 8] {
-            let parallel = settle_batch(&transport, &pop, 1, &buyers, 7, workers);
-            assert_eq!(parallel.len(), serial.len());
+        let settle = |workers, slots: &mut Vec<Option<SettledQuote>>| {
+            settle_batch_into(&transport, &pop, 1, &buyers, 7, workers, slots);
+            assert_eq!(slots.len(), buyers.len());
+            slots
+                .iter()
+                .map(|o| o.clone().expect("every slot is filled"))
+                .collect::<Vec<_>>()
+        };
+        let serial = settle(1, &mut Vec::new());
+        // One buffer across calls, as the engine reuses it.
+        let mut slots = Vec::new();
+        for workers in [2, 4, 8, 1] {
+            let parallel = settle(workers, &mut slots);
             for (a, b) in serial.iter().zip(&parallel) {
                 assert_eq!(a.sold, b.sold, "workers={workers}");
                 assert_eq!(a.price.to_bits(), b.price.to_bits());
@@ -278,20 +272,6 @@ mod tests {
         // The phase index reached the worker (prices carry the 100·phase
         // component).
         assert!(serial.iter().all(|s| s.price >= 100.0));
-
-        // The slot-reusing variant reports identical outcomes through the
-        // same buffer across calls.
-        let mut slots = Vec::new();
-        for workers in [1, 4] {
-            settle_batch_into(&transport, &pop, 1, &buyers, 7, workers, &mut slots);
-            assert_eq!(slots.len(), serial.len());
-            for (a, b) in serial.iter().zip(&slots) {
-                let b = b.as_ref().expect("every slot is filled");
-                assert_eq!(a.sold, b.sold, "workers={workers}");
-                assert_eq!(a.price.to_bits(), b.price.to_bits());
-                assert_eq!(a.conflict_set, b.conflict_set);
-            }
-        }
     }
 
     #[test]

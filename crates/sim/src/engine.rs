@@ -7,13 +7,14 @@
 //!    population (schedules may shift populations mid-run) samples each
 //!    buyer's segment, query, and budget. All randomness happens here, on
 //!    the coordinating thread, from one seeded RNG.
-//! 2. The buyers fan out across scoped **worker threads** through the
+//! 2. The buyers fan out across **worker threads** through the
 //!    transport-agnostic settle driver ([`crate::driver`]), each quoting
 //!    and settling at the quoted price — against the shared broker
 //!    in-process (the concurrent read traffic the broker's `RwLock`ed
 //!    pricing exists for), or against a remote shard set when the
-//!    transport is `qp-server`'s network client. Workers claim buyers from
-//!    a work ledger and write outcomes back by arrival index.
+//!    transport is `qp-server`'s network client. Workers, the coordinator
+//!    included, claim buyers through `qp_core::parallel::claim` and write
+//!    outcomes back by arrival index.
 //! 3. The coordinator folds outcomes **in arrival order** into the tick's
 //!    statistics, so revenue totals are bit-identical for a fixed seed no
 //!    matter how the workers interleaved.
@@ -161,9 +162,7 @@ pub fn run_with<T: SettleTransport>(
     let algo = algorithms::by_name(&cfg.algorithm)
         .unwrap_or_else(|| panic!("unknown repricing algorithm {:?}", cfg.algorithm));
     let workers = if cfg.workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        qp_core::parallel::available_workers()
     } else {
         cfg.workers
     };

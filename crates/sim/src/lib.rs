@@ -26,9 +26,9 @@
 //!   [`driver::SettleTransport`] boundary between the event loop and
 //!   whatever answers quotes (the in-process broker here; `qp-server`'s
 //!   TCP client in the serving layer), plus the arrival-order
-//!   [`driver::settle_batch`] used by both.
+//!   [`driver::settle_batch_into`] used by both.
 //! * [`engine`] — the seeded, deterministic event loop: per-tick sampling on
-//!   the coordinator, concurrent quote-and-settle across scoped workers,
+//!   the coordinator, concurrent quote-and-settle across worker threads,
 //!   arrival-order aggregation (same seed ⇒ bit-identical revenue,
 //!   regardless of worker count), and live pricing updates on tick
 //!   boundaries — incremental in-place patches through
@@ -50,7 +50,7 @@ pub mod repricing;
 pub mod scenario;
 
 pub use demand::DemandWindow;
-pub use driver::{settle_batch, BrokerTransport, SettleTransport, SettleWorker, SettledQuote};
+pub use driver::{settle_batch_into, BrokerTransport, SettleTransport, SettleWorker, SettledQuote};
 pub use engine::{run, run_with, RepricingMode, SimConfig};
 pub use metrics::{bench_json, RepricingEvent, SimReport, TickStats};
 pub use population::{BudgetModel, Buyer, BuyerSegment, Population};

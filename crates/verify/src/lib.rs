@@ -14,8 +14,8 @@
 //!   on any thread (or a deadlock) stops exploration and is reported with
 //!   the exact schedule, which `replay` re-executes deterministically.
 //! * [`models`] — the repo-specific invariants rewritten as small checked
-//!   models (no-stale-quote epoch protocol, reader-writer atomicity,
-//!   claim-exactly-once, two-ended claims, pending-table bounds), each
+//!   models (no-stale-quote epoch protocol, reader-writer atomicity, the
+//!   `qp_core::parallel` claim loop, pending-table bounds), each
 //!   paired with a seeded-bug variant proving the checker actually catches
 //!   the corresponding protocol violation.
 //!

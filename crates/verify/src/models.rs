@@ -12,8 +12,7 @@
 //! |---|---|
 //! | `no-stale-quote` | `Broker::set_pricing` epoch bump vs `ShardSet::quote` cache serve (PR 5) |
 //! | `rw-atomicity` | `set_pricing` vs `quote_batch` reader-writer atomicity |
-//! | `claim-exactly-once` | `claim_map` work-claiming ledger (bit-identical parallel revenue) |
-//! | `two-ended-claim` | LPIP's threshold sweep: a front and a back worker claiming from one `Mutex<Range<usize>>` |
+//! | `claim-loop` | `qp_core::parallel::claim`: the caller claiming from the front and spawned workers from the back of one `Mutex<Range<usize>>` (conflict sets, `qp-sim` settles, LPIP's thresholds) |
 //! | `pending-bounds` | pending-quote table capacity eviction in `ShardSet` |
 
 use crate::sync::{AtomicU64, Mutex, RwLock};
@@ -167,126 +166,94 @@ fn rw_atomicity(
     }
 }
 
-/// The `claim_map` ledger from `qp-market`'s parallel revenue sweep:
-/// workers claim the next unclaimed index under one mutex critical section
-/// and record their result at that index. Invariant: each index is claimed
-/// exactly once and the final cursor equals the item count.
+/// The claim loop of `qp_core::parallel::claim`, which runs the conflict
+/// engine, `qp-sim`'s settles and LPIP's threshold sweep: the calling
+/// thread works index 0 and then claims from the front of one
+/// `Mutex<Range<usize>>` (`Range::next`), while `backs` spawned workers
+/// claim from its back (`Range::next_back`), each claim in one critical
+/// section. Two back workers cover the conflict engine on machines with
+/// more than two CPUs. Invariants: every index is claimed exactly once,
+/// and every claimant stops within `items + 1` claim attempts.
 ///
-/// With `bug_split_claim`, the read-cursor and advance-cursor steps run in
-/// two separate critical sections — two workers can claim the same index.
-fn claim_exactly_once(
-    workers: usize,
-    items: usize,
-    bug_split_claim: bool,
-) -> impl Fn() + Send + Sync {
+/// With `bug_split_take`, the bounds check and the take run in two
+/// separate critical sections — two claimants can pass the check on the
+/// last index and then both take it.
+fn claim_loop(backs: usize, items: usize, bug_split_take: bool) -> impl Fn() + Send + Sync {
     move || {
-        // (cursor, per-index claim counts) — one lock, like `claim_map`.
-        let ledger = Arc::new(Mutex::new((0usize, vec![0u32; items])));
+        // (unclaimed range, claims per index); index 0 is the caller's.
+        let ledger = Arc::new(Mutex::new((1..items, vec![0u8; items])));
         let mut handles = Vec::new();
-        for _ in 0..workers {
+        for _ in 0..backs {
             let ledger = Arc::clone(&ledger);
-            handles.push(thread::spawn(move || loop {
-                let idx = if bug_split_claim {
-                    // BUG: check and advance in separate critical sections.
-                    let cur = ledger.lock().0;
-                    if cur >= items {
-                        break;
-                    }
-                    ledger.lock().0 += 1;
-                    cur
-                } else {
-                    let mut g = ledger.lock();
-                    if g.0 >= items {
-                        break;
-                    }
-                    let i = g.0;
-                    g.0 += 1;
-                    i
-                };
-                let mut g = ledger.lock();
-                g.1[idx] += 1;
-                let n = g.1[idx];
-                assert!(n == 1, "index {idx} claimed {n} times");
+            handles.push(thread::spawn(move || {
+                claim_all(&ledger, items, End::Back, bug_split_take)
             }));
         }
+        record_claim(&ledger, 0);
+        claim_all(&ledger, items, End::Front, bug_split_take);
         for h in handles {
             h.join().unwrap();
         }
         let g = ledger.lock();
         assert!(
             g.1.iter().all(|&n| n == 1),
-            "claim ledger not exactly-once: {:?}",
+            "claims not exactly-once: {:?}",
             g.1
         );
     }
 }
 
-/// LPIP's two-ended threshold sweep: a front worker takes the lowest
-/// unclaimed index (`Range::next`) and a back worker the highest
-/// (`Range::next_back`), each in one critical section of the mutex around
-/// the range, and records its claim. Invariants: every index is claimed
-/// exactly once, the two ends never take the same index, and both workers
-/// terminate within `items + 1` claim attempts.
-///
-/// With `bug_split_take`, the bounds check and the take run in two
-/// separate critical sections — both ends can pass the check on the last
-/// index and then both take it.
-fn two_ended_claim(items: usize, bug_split_take: bool) -> impl Fn() + Send + Sync {
-    move || {
-        // (unclaimed range, per-index claimant: 0 none, 1 front, 2 back).
-        let ledger = Arc::new(Mutex::new((0..items, vec![0u8; items])));
-        let mut handles = Vec::new();
-        for end in [1u8, 2] {
-            let ledger = Arc::clone(&ledger);
-            handles.push(thread::spawn(move || {
-                for _ in 0..=items {
-                    let idx = if bug_split_take {
-                        // BUG: the bounds check and the take in separate
-                        // critical sections.
-                        if ledger.lock().0.is_empty() {
-                            return;
-                        }
-                        let mut g = ledger.lock();
-                        if end == 1 {
-                            g.0.start += 1;
-                            g.0.start - 1
-                        } else {
-                            g.0.end -= 1;
-                            g.0.end
-                        }
-                    } else {
-                        let mut g = ledger.lock();
-                        let next = if end == 1 {
-                            g.0.next()
-                        } else {
-                            g.0.next_back()
-                        };
-                        match next {
-                            Some(i) => i,
-                            None => return,
-                        }
-                    };
-                    let mut g = ledger.lock();
-                    let taker = g.1[idx];
-                    assert!(
-                        taker == 0,
-                        "index {idx} taken by end {end} after end {taker}"
-                    );
-                    g.1[idx] = end;
+/// The end of the range a [`claim_loop`] claimant takes from.
+#[derive(Clone, Copy)]
+enum End {
+    Front,
+    Back,
+}
+
+type ClaimLedger = Mutex<(std::ops::Range<usize>, Vec<u8>)>;
+
+/// One claimant of [`claim_loop`]: claims from `end` until the range is
+/// empty, recording each claim.
+fn claim_all(ledger: &ClaimLedger, items: usize, end: End, bug_split_take: bool) {
+    for _ in 0..=items {
+        let idx = if bug_split_take {
+            // BUG: the bounds check and the take in separate critical
+            // sections.
+            if ledger.lock().0.is_empty() {
+                return;
+            }
+            let mut g = ledger.lock();
+            match end {
+                End::Front => {
+                    g.0.start += 1;
+                    g.0.start - 1
                 }
-                panic!("end {end} still claiming after {} attempts", items + 1);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let g = ledger.lock();
-        assert!(
-            g.1.iter().all(|&taker| taker != 0),
-            "an index was never claimed: {:?}",
-            g.1
-        );
+                End::Back => {
+                    g.0.end -= 1;
+                    g.0.end
+                }
+            }
+        } else {
+            let mut g = ledger.lock();
+            let next = match end {
+                End::Front => g.0.next(),
+                End::Back => g.0.next_back(),
+            };
+            match next {
+                Some(i) => i,
+                None => return,
+            }
+        };
+        record_claim(ledger, idx);
     }
+    panic!("a claimant still claiming after {} attempts", items + 1);
+}
+
+fn record_claim(ledger: &ClaimLedger, idx: usize) {
+    let mut g = ledger.lock();
+    g.1[idx] += 1;
+    let n = g.1[idx];
+    assert!(n == 1, "index {idx} claimed {n} times");
 }
 
 /// The pending-quote table from `ShardSet::quote`: quoters draw unique ids
@@ -349,7 +316,7 @@ impl ModelSpec {
     }
 }
 
-/// The full model catalog: the five core invariants plus their seeded-bug
+/// The full model catalog: the four core invariants plus their seeded-bug
 /// counterparts. Seeded variants use minimal sizes so depth-first search
 /// reaches the buggy interleaving within a smoke budget.
 pub fn catalog() -> Vec<ModelSpec> {
@@ -379,28 +346,16 @@ pub fn catalog() -> Vec<ModelSpec> {
             build: || Box::new(rw_atomicity(1, 1, 1, true)),
         },
         ModelSpec {
-            name: "claim-exactly-once",
-            about: "claim_map ledger: every index claimed exactly once",
+            name: "claim-loop",
+            about: "claim loop: caller from the front, two workers from the back, each index once",
             expect_failure: false,
-            build: || Box::new(claim_exactly_once(2, 4, false)),
+            build: || Box::new(claim_loop(2, 4, false)),
         },
         ModelSpec {
-            name: "claim-exactly-once-seeded-bug",
-            about: "cursor check/advance split across critical sections — must be caught",
-            expect_failure: true,
-            build: || Box::new(claim_exactly_once(2, 1, true)),
-        },
-        ModelSpec {
-            name: "two-ended-claim",
-            about: "LPIP sweep: front/back claims from one range, each index exactly once",
-            expect_failure: false,
-            build: || Box::new(two_ended_claim(4, false)),
-        },
-        ModelSpec {
-            name: "two-ended-claim-seeded-bug",
+            name: "claim-loop-seeded-bug",
             about: "bounds check and take split across critical sections — must be caught",
             expect_failure: true,
-            build: || Box::new(two_ended_claim(1, true)),
+            build: || Box::new(claim_loop(2, 2, true)),
         },
         ModelSpec {
             name: "pending-bounds",
