@@ -15,8 +15,6 @@
 //! * [`set`](ItemSet) — inline small-set representation (1–2 blocks without
 //!   heap allocation, spilling transparently) plus single-block fast paths
 //!   and chunked autovectorization-friendly loops;
-//! * [`arena`](BlockArena) — [`BlockArena`]/[`QuoteScratch`] recycle spilled
-//!   block buffers and batch containers across quote batches;
 //! * [`mod@reference`] — the scalar, allocate-per-call kernels kept as the
 //!   differential-test oracle and benchmark baseline;
 //! * [`ring`](RingBuffer) — the bounded overwrite-oldest buffer backing
@@ -27,13 +25,11 @@
 //!   (conflict sets, `qp-sim`'s settles, LPIP's thresholds) runs on, and
 //!   the placement of its workers on CPUs.
 
-mod arena;
 pub mod codec;
 pub mod parallel;
 pub mod reference;
 mod ring;
 mod set;
 
-pub use arena::{BlockArena, QuoteScratch};
 pub use ring::RingBuffer;
 pub use set::{ItemSet, Iter, INLINE_BLOCKS};

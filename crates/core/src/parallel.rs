@@ -108,9 +108,9 @@ where
 /// Maps `f` over `items` with [`claim`], leaving `Some(f(state, item))` at
 /// every item's index in `slots`.
 ///
-/// `slots` is cleared first; its capacity is what callers reuse from one
-/// batch to the next (see `QuoteScratch::slots`). Each result is stored
-/// under a lock of its own, taken once per item.
+/// `slots` is cleared first; its capacity is what a caller that keeps it
+/// reuses from one batch to the next (`qp-sim`'s settle fan-out does). Each
+/// result is stored under a lock of its own, taken once per item.
 pub fn claim_map_into<T, S, R, F>(items: &[T], states: &mut [S], f: F, slots: &mut Vec<Option<R>>)
 where
     T: Sync,

@@ -370,7 +370,7 @@ impl Scope<'_> {
     }
 
     /// `alloc-in-kernel` covers only the cache-hot kernel modules, where
-    /// the allocation discipline (arena + double-buffer reuse) is the
+    /// the allocation discipline (buffer and double-buffer reuse) is the
     /// optimization being protected.
     fn alloc_kernel(&self) -> bool {
         KERNEL_MODULES.contains(&self.rel)

@@ -90,7 +90,7 @@ fn alloc_kernel_rule_fires_exactly_where_seeded() {
         assert_eq!(fired(&v).len(), 3, "{kernel} is a kernel module");
     }
     // The same source is fine anywhere outside the kernel modules.
-    assert!(lint_source("crates/core/src/arena.rs", src).is_empty());
+    assert!(lint_source("crates/core/src/ring.rs", src).is_empty());
     assert!(lint_source("crates/market/src/broker.rs", src).is_empty());
     assert!(lint_source("crates/pricing/src/algorithms/cip.rs", src).is_empty());
 }

@@ -2,9 +2,11 @@
 //!
 //! A [`Broker`] owns the seller's database, a sampled support set, and a
 //! pricing function, and exposes the operations a data marketplace needs:
-//! quote a price for an incoming query (singly or in batches), execute a
-//! purchase (returning the answer when the buyer can afford it), and keep a
-//! per-sale revenue ledger. The pricing function lives behind a
+//! quote a price for an incoming query (singly or in batches) and execute a
+//! purchase (returning the answer when the buyer can afford it). It keeps no
+//! books: a sale's outcome goes back to the caller, and whoever needs
+//! totals keeps them (`qp-sim`'s report, `qp-server`'s WAL-backed shard
+//! ledgers). The pricing function lives behind a
 //! [`parking_lot::RwLock`], so a live broker can be **re-priced under read
 //! traffic**: `set_pricing(&self, ...)` takes a shared reference and swaps
 //! the function atomically while other threads keep quoting.
@@ -55,11 +57,11 @@
 //! * **Epoch reads that tag a price must happen under the pricing read
 //!   lock** — that is what makes `versioned_price`'s pair consistent.
 //!   A bare `pricing_epoch()` is only a freshness hint.
-//! * **Lock order**: the pricing lock is a leaf — no other lock in this
-//!   crate is acquired while it is held. Callers layering caches on top
-//!   (e.g. `qp-server`'s shards) must release their cache locks before
-//!   calling into the broker, or take them strictly after the broker call
-//!   returns.
+//! * **Lock order**: the pricing lock is the broker's only lock, and a
+//!   leaf — nothing else is acquired while it is held. Callers layering
+//!   caches on top (e.g. `qp-server`'s shards) must release their cache
+//!   locks before calling into the broker, or take them strictly after the
+//!   broker call returns.
 //! * **Synchronization goes through the `parking_lot` facade** (including
 //!   its `atomic` module), never `std::sync` directly, so
 //!   `--cfg qp_verify` builds can interpose the checker's instrumented
@@ -67,16 +69,22 @@
 
 use parking_lot::atomic::{AtomicU64, Ordering};
 
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use parking_lot::{RwLock, RwLockReadGuard};
 
-use qp_core::{ItemSet, QuoteScratch};
+use qp_core::ItemSet;
 use qp_pricing::algorithms::{self, CipConfig, LpipConfig, PricingPatch};
 use qp_pricing::{BundlePricing, Hypergraph, Pricing};
 use qp_qdb::{Database, QdbError, Query, Relation};
-use qp_telemetry::{Counter, SpanHandle, TelemetrySink};
+use qp_telemetry::{SpanHandle, TelemetrySink};
 
 use crate::conflict::{ConflictEngine, DeltaConflictEngine, ParallelConflictEngine};
 use crate::support::{SupportConfig, SupportSet};
+
+/// Budget slack of a settle: a quote sells when `price <= budget +
+/// BUDGET_EPSILON`. [`Broker::settle`] and `qp-server`'s shard settle share
+/// it, so the in-process and network paths make identical sold/declined
+/// calls.
+pub const BUDGET_EPSILON: f64 = 1e-9;
 
 /// A priced query quote.
 #[derive(Debug, Clone)]
@@ -102,100 +110,6 @@ pub enum PurchaseOutcome {
         /// The price that was quoted.
         price: f64,
     },
-}
-
-/// One completed sale, as recorded by the broker's [`RevenueLedger`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sale {
-    /// Size of the sold query's conflict set (the bundle size `|e|`).
-    pub conflict_set_len: usize,
-    /// The price the buyer paid.
-    pub price: f64,
-    /// The simulation tick at which the sale closed; 0 for purchases made
-    /// outside a simulator (see [`Broker::purchase_at`]). Stamping sales
-    /// with their tick lets revenue-over-time be reconstructed from the
-    /// ledger alone.
-    pub tick: u64,
-}
-
-/// The broker's record of demand: one [`Sale`] per purchase, plus the count
-/// and forgone revenue of declined quotes.
-///
-/// Keeping `(conflict_set_len, price, tick)` per sale instead of a single
-/// running total lets operators ask distributional questions after the fact —
-/// e.g. how revenue splits between broad and narrow queries, or how it
-/// accrued over a simulated traffic stream — without re-running the
-/// workload. Declines are aggregated (count + sum of quoted prices) rather
-/// than itemized: they exist to measure conversion and the revenue left on
-/// the table, not to audit individual buyers.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RevenueLedger {
-    sales: Vec<Sale>,
-    declined_count: usize,
-    declined_total: f64,
-}
-
-impl RevenueLedger {
-    /// Records a completed sale outside any simulation (tick 0).
-    pub fn record(&mut self, conflict_set_len: usize, price: f64) {
-        self.record_at(conflict_set_len, price, 0);
-    }
-
-    /// Records a completed sale at a simulation tick.
-    pub fn record_at(&mut self, conflict_set_len: usize, price: f64, tick: u64) {
-        self.sales.push(Sale {
-            conflict_set_len,
-            price,
-            tick,
-        });
-    }
-
-    /// Records a declined quote: the buyer walked away from `price`.
-    pub fn record_decline(&mut self, price: f64) {
-        self.declined_count += 1;
-        self.declined_total += price;
-    }
-
-    /// Total revenue across all recorded sales.
-    pub fn total(&self) -> f64 {
-        self.sales.iter().map(|s| s.price).sum()
-    }
-
-    /// Number of recorded sales.
-    pub fn len(&self) -> usize {
-        self.sales.len()
-    }
-
-    /// True if nothing has been sold yet.
-    pub fn is_empty(&self) -> bool {
-        self.sales.is_empty()
-    }
-
-    /// The recorded sales, in purchase order.
-    pub fn sales(&self) -> &[Sale] {
-        &self.sales
-    }
-
-    /// Number of declined quotes.
-    pub fn declined_count(&self) -> usize {
-        self.declined_count
-    }
-
-    /// Sum of the prices buyers declined to pay (revenue left on the table).
-    pub fn declined_total(&self) -> f64 {
-        self.declined_total
-    }
-
-    /// Fraction of purchase attempts that closed, or `None` before any
-    /// attempt has been recorded.
-    pub fn conversion_rate(&self) -> Option<f64> {
-        let attempts = self.sales.len() + self.declined_count;
-        if attempts == 0 {
-            None
-        } else {
-            Some(self.sales.len() as f64 / attempts as f64)
-        }
-    }
 }
 
 /// Errors from [`BrokerBuilder::build`].
@@ -358,56 +272,29 @@ pub struct Broker {
     /// `pricing` write lock (see the module docs for the invalidation
     /// contract this gives layered caches).
     epoch: AtomicU64,
-    ledger: Mutex<RevenueLedger>,
-    /// Arena-backed batch scratch reused across [`Broker::quote_batch`]
-    /// calls (sets, claim slots, and — via [`Broker::recycle_quotes`] —
-    /// spilled conflict-set buffers). Guarded by its own mutex so
-    /// concurrent batches stay correct; a contended call falls back to a
-    /// throwaway scratch rather than serializing (see `quote_batch_into`).
-    /// Never held across the `pricing` lock boundary in a way that breaks
-    /// the leaf-lock rule: `pricing` is acquired *after* (inside) the
-    /// scratch lock and released first, and no scratch-holding path takes
-    /// any further lock.
-    scratch: Mutex<QuoteScratch>,
     /// Pre-registered observability handles (inert on a disabled sink).
     telemetry: BrokerTelemetry,
 }
 
 /// The broker's pre-registered telemetry handles: span sites resolved once
-/// at construction so the quote hot path never touches a registration
-/// lock, plus outcome counters. With a `Disabled` sink every field is an
-/// inert `None`-backed handle — entering a span or bumping a counter is a
-/// branch, with no clock read and no atomic.
+/// at construction so no hot path touches a registration lock. With a
+/// `Disabled` sink every handle is inert — entering a span is a branch,
+/// with no clock read and no atomic.
 #[derive(Debug, Clone, Default)]
 struct BrokerTelemetry {
     sink: TelemetrySink,
-    /// `broker.conflict` — conflict-set computation inside a quote.
-    conflict: SpanHandle,
-    /// `broker.price` — pricing-function read inside a quote.
-    price: SpanHandle,
-    /// `broker.batch` — a whole `quote_batch_into` call.
-    batch: SpanHandle,
     /// `reprice.apply` — installing a pricing swap or patch.
     reprice: SpanHandle,
-    /// `settle.ledger` — settling a quote into the revenue ledger.
+    /// `settle.ledger` — settling a quote (`qp-server`'s shard settle
+    /// records the same series).
     settle: SpanHandle,
-    /// `broker.quote` / `broker.sale` / `broker.decline` totals.
-    quotes: Counter,
-    sales: Counter,
-    declines: Counter,
 }
 
 impl BrokerTelemetry {
     fn new(sink: TelemetrySink) -> BrokerTelemetry {
         BrokerTelemetry {
-            conflict: sink.span_handle("broker.conflict"),
-            price: sink.span_handle("broker.price"),
-            batch: sink.span_handle("broker.batch"),
             reprice: sink.span_handle("reprice.apply"),
             settle: sink.span_handle("settle.ledger"),
-            quotes: sink.counter("broker.quote"),
-            sales: sink.counter("broker.sale"),
-            declines: sink.counter("broker.decline"),
             sink,
         }
     }
@@ -433,14 +320,12 @@ impl Broker {
             support,
             pricing: RwLock::new(Pricing::zero_items(n)),
             epoch: AtomicU64::new(0),
-            ledger: Mutex::new(RevenueLedger::default()),
-            scratch: Mutex::new(QuoteScratch::new()),
             telemetry: BrokerTelemetry::default(),
         }
     }
 
     /// Attaches a telemetry sink to an already-constructed broker,
-    /// pre-registering its span sites and counters. See
+    /// pre-registering its span sites. See
     /// [`BrokerBuilder::telemetry`].
     pub fn with_telemetry(mut self, sink: TelemetrySink) -> Broker {
         self.telemetry = BrokerTelemetry::new(sink);
@@ -573,15 +458,8 @@ impl Broker {
 
     /// Quotes a price for `query` without selling it.
     pub fn quote(&self, query: &Query) -> QuotedQuery {
-        self.telemetry.quotes.inc();
-        let conflict_set = {
-            let _span = self.telemetry.conflict.enter();
-            self.conflict_set(query)
-        };
-        let price = {
-            let _span = self.telemetry.price.enter();
-            self.pricing.read().price_set(&conflict_set)
-        };
+        let conflict_set = self.conflict_set(query);
+        let price = self.pricing.read().price_set(&conflict_set);
         QuotedQuery {
             conflict_set,
             price,
@@ -600,139 +478,51 @@ impl Broker {
     /// long batch never stalls [`Broker::set_pricing`] (or quoters queued
     /// behind a writer).
     pub fn quote_batch(&self, queries: &[Query]) -> Vec<QuotedQuery> {
-        let mut quotes = Vec::with_capacity(queries.len());
-        self.quote_batch_into(queries, &mut quotes);
-        quotes
-    }
-
-    /// [`Broker::quote_batch`] writing into a caller-owned quote buffer
-    /// (cleared first), reusing the broker's arena-backed scratch so
-    /// steady-state batch quoting performs no per-set heap allocation.
-    ///
-    /// The scratch (conflict sets, claim slots, recycled block buffers) is
-    /// shared across batches under its own mutex; a batch arriving while
-    /// another holds it quotes through a throwaway scratch instead of
-    /// waiting — correctness never depends on reuse. Pair with
-    /// [`Broker::recycle_quotes`] to return the conflict-set buffers once
-    /// the quotes are dead.
-    pub fn quote_batch_into(&self, queries: &[Query], out: &mut Vec<QuotedQuery>) {
-        let _span = self.telemetry.batch.enter();
-        self.telemetry.quotes.add(queries.len() as u64);
-        out.clear();
-        let engine = ParallelConflictEngine::new(&self.db, &self.support);
-        let mut local;
-        let mut shared = self.scratch.try_lock();
-        let scratch = match shared.as_deref_mut() {
-            Some(scratch) => scratch,
-            None => {
-                // alloc: contended fallback — another batch owns the shared
-                // scratch; a fresh one keeps both batches running.
-                local = QuoteScratch::new();
-                &mut local
-            }
-        };
-        // Conflict sets — the dominant cost — are computed before the
-        // pricing lock is taken, so a long batch never stalls
-        // `set_pricing`. Holding the scratch mutex across the pricing read
-        // is legal: `pricing` stays a leaf (acquired last, released first),
-        // and no other path takes the scratch lock while holding `pricing`.
-        engine.conflict_sets_scratch(queries, scratch);
+        let conflict_sets =
+            ParallelConflictEngine::new(&self.db, &self.support).conflict_sets(queries);
         let pricing = self.pricing.read();
-        out.extend(scratch.sets.drain(..).map(|conflict_set| {
-            let price = pricing.price_set(&conflict_set);
-            QuotedQuery {
+        conflict_sets
+            .into_iter()
+            .map(|conflict_set| QuotedQuery {
+                price: pricing.price_set(&conflict_set),
                 conflict_set,
-                price,
-            }
-        }));
+            })
+            .collect()
     }
 
-    /// Returns dead quotes' conflict-set buffers to the broker's arena, so
-    /// the next [`Broker::quote_batch_into`] batch can rebuild its sets
-    /// without heap allocation. `quotes` is drained; dropping quotes
-    /// instead is always safe — the arena just allocates anew.
-    pub fn recycle_quotes(&self, quotes: &mut Vec<QuotedQuery>) {
-        let mut scratch = self.scratch.lock();
-        for quote in quotes.drain(..) {
-            scratch.arena.recycle(quote.conflict_set);
-        }
-    }
-
-    /// Attempts to sell `query` to a buyer with the given `budget`.
-    ///
-    /// On success the query is evaluated on the real database and the answer
-    /// returned; the sale is recorded in the revenue ledger with tick 0.
-    /// Declined quotes are recorded too (count + forgone price), so the
-    /// ledger's [`RevenueLedger::conversion_rate`] reflects every attempt.
+    /// Attempts to sell `query` to a buyer with the given `budget`: quotes
+    /// it against the installed pricing, then [`Broker::settle`]s the quote.
     pub fn purchase(&self, query: &Query, budget: f64) -> Result<PurchaseOutcome, QdbError> {
-        self.purchase_at(query, budget, 0)
-    }
-
-    /// [`Broker::purchase`] with an explicit simulation tick stamped on the
-    /// resulting ledger entry. Simulators use this so revenue-over-time can
-    /// be reconstructed from the ledger; direct API purchases use tick 0.
-    pub fn purchase_at(
-        &self,
-        query: &Query,
-        budget: f64,
-        tick: u64,
-    ) -> Result<PurchaseOutcome, QdbError> {
         let quote = self.quote(query);
-        self.settle(&quote, query, budget, tick)
+        self.settle(&quote, query, budget)
     }
 
     /// Settles an already-quoted query: sells at the quoted price if the
-    /// budget covers it (recording the sale at `tick`), otherwise records
-    /// the decline. The quote is honored as issued — callers that quoted
-    /// before a [`Broker::set_pricing`] swap settle at the old price, which
-    /// is exactly the guarantee a marketplace quote carries.
+    /// budget covers it (within [`BUDGET_EPSILON`]), evaluating the query
+    /// on the real database and returning the answer; otherwise declines.
+    /// The quote is honored as issued — callers that quoted before a
+    /// [`Broker::set_pricing`] swap settle at the old price, which is
+    /// exactly the guarantee a marketplace quote carries.
     ///
-    /// A covered quote whose query then fails to evaluate is recorded as a
-    /// decline (the buyer paid nothing and walked away empty-handed) before
-    /// the error propagates, so every settlement attempt — sold, declined,
-    /// or failed — leaves exactly one ledger mark and
-    /// [`RevenueLedger::conversion_rate`] stays faithful to the traffic.
+    /// A covered quote whose query then fails to evaluate returns the
+    /// evaluation error: the buyer pays nothing. The broker records
+    /// nothing either way; callers that keep books tally the outcome.
     pub fn settle(
         &self,
         quote: &QuotedQuery,
         query: &Query,
         budget: f64,
-        tick: u64,
     ) -> Result<PurchaseOutcome, QdbError> {
         let _span = self.telemetry.settle.enter();
-        if quote.price <= budget + 1e-9 {
-            match query.evaluate(&self.db) {
-                Ok(answer) => {
-                    self.ledger
-                        .lock()
-                        .record_at(quote.conflict_set.len(), quote.price, tick);
-                    self.telemetry.sales.inc();
-                    Ok(PurchaseOutcome::Sold {
-                        price: quote.price,
-                        answer,
-                    })
-                }
-                Err(e) => {
-                    self.telemetry.declines.inc();
-                    self.ledger.lock().record_decline(quote.price);
-                    Err(e)
-                }
-            }
+        if quote.price <= budget + BUDGET_EPSILON {
+            let answer = query.evaluate(&self.db)?;
+            Ok(PurchaseOutcome::Sold {
+                price: quote.price,
+                answer,
+            })
         } else {
-            self.telemetry.declines.inc();
-            self.ledger.lock().record_decline(quote.price);
             Ok(PurchaseOutcome::Declined { price: quote.price })
         }
-    }
-
-    /// Total revenue realized so far through [`Broker::purchase`].
-    pub fn realized_revenue(&self) -> f64 {
-        self.ledger.lock().total()
-    }
-
-    /// A snapshot of the per-sale revenue ledger.
-    pub fn ledger(&self) -> RevenueLedger {
-        self.ledger.lock().clone()
     }
 }
 
@@ -819,100 +609,9 @@ mod tests {
     }
 
     #[test]
-    fn quote_batch_into_reuses_buffers_and_recycling_changes_nothing() {
-        let broker = priced_broker();
-        let queries = buyer_queries();
-        let reference = broker.quote_batch(&queries);
-        let mut quotes = Vec::new();
-        // Several rounds through the same buffers, recycling between them:
-        // prices and conflict sets must match the fresh-allocation path
-        // every time.
-        for round in 0..3 {
-            broker.quote_batch_into(&queries, &mut quotes);
-            assert_eq!(quotes.len(), reference.len(), "round {round}");
-            for (a, b) in quotes.iter().zip(&reference) {
-                assert_eq!(a.conflict_set, b.conflict_set);
-                assert_eq!(a.price, b.price);
-            }
-            broker.recycle_quotes(&mut quotes);
-            assert!(quotes.is_empty(), "recycling drains the batch");
-        }
-    }
-
-    #[test]
-    fn purchase_respects_budget_and_records_sales() {
-        let broker = priced_broker();
-        let q = &buyer_queries()[0];
-        let quote = broker.quote(q);
-
-        match broker.purchase(q, quote.price + 1.0).unwrap() {
-            PurchaseOutcome::Sold { price, answer } => {
-                assert!((price - quote.price).abs() < 1e-9);
-                assert_eq!(answer.rows()[0][0], Value::Int(3));
-            }
-            PurchaseOutcome::Declined { .. } => panic!("budget covers the quote"),
-        }
-        assert!((broker.realized_revenue() - quote.price).abs() < 1e-9);
-        let ledger = broker.ledger();
-        assert_eq!(ledger.len(), 1);
-        assert_eq!(ledger.sales()[0].conflict_set_len, quote.conflict_set.len());
-        assert!((ledger.sales()[0].price - quote.price).abs() < 1e-9);
-
-        // A zero budget cannot buy a positively priced query; the decline
-        // adds no sale but is counted (with its forgone price) so the
-        // conversion rate reflects it.
-        if quote.price > 0.0 {
-            match broker.purchase(q, 0.0).unwrap() {
-                PurchaseOutcome::Declined { price } => assert!(price > 0.0),
-                PurchaseOutcome::Sold { .. } => panic!("should have been declined"),
-            }
-            let ledger = broker.ledger();
-            assert_eq!(ledger.len(), 1);
-            assert_eq!(ledger.declined_count(), 1);
-            assert!((ledger.declined_total() - quote.price).abs() < 1e-9);
-            assert_eq!(ledger.conversion_rate(), Some(0.5));
-        }
-    }
-
-    #[test]
-    fn purchases_stamp_ticks_and_direct_purchases_use_tick_zero() {
-        let broker = priced_broker();
-        let q = &buyer_queries()[1];
-        let quote = broker.quote(q);
-        broker.purchase(q, quote.price + 1.0).unwrap();
-        broker.purchase_at(q, quote.price + 1.0, 17).unwrap();
-        let ledger = broker.ledger();
-        assert_eq!(ledger.len(), 2);
-        assert_eq!(ledger.sales()[0].tick, 0);
-        assert_eq!(ledger.sales()[1].tick, 17);
-        // The budget never covers a price above the quote by less than the
-        // shortfall below: a hard decline stays a decline at any tick.
-        match broker.purchase_at(q, quote.price - 1.0, 18).unwrap() {
-            PurchaseOutcome::Declined { price } => assert!((price - quote.price).abs() < 1e-9),
-            PurchaseOutcome::Sold { .. } => panic!("budget is below the quote"),
-        }
-        assert_eq!(broker.ledger().len(), 2);
-        assert_eq!(broker.ledger().declined_count(), 1);
-    }
-
-    #[test]
-    fn failed_evaluations_leave_a_decline_mark_not_a_sale() {
-        // A query over a missing table quotes at 0 (empty conflict set), so
-        // the budget covers it — but evaluation fails. The attempt must
-        // still leave exactly one ledger mark, as a decline.
-        let broker = priced_broker();
-        let bad = Query::scan("NoSuchTable");
-        assert!(broker.purchase(&bad, 10.0).is_err());
-        let ledger = broker.ledger();
-        assert_eq!(ledger.len(), 0);
-        assert_eq!(ledger.declined_count(), 1);
-        assert_eq!(ledger.conversion_rate(), Some(0.0));
-    }
-
-    #[test]
     fn settle_honors_the_quoted_price_across_a_repricing() {
         // Quote, swap the pricing, then settle: the buyer pays the quoted
-        // price, not the new one.
+        // price, not the new one, and gets the answer.
         let broker = priced_broker();
         let q = &buyer_queries()[1];
         let quote = broker.quote(q);
@@ -920,13 +619,56 @@ mod tests {
         broker.set_pricing(Pricing::Item {
             weights: vec![1000.0; n],
         });
-        match broker.settle(&quote, q, quote.price + 1.0, 3).unwrap() {
-            PurchaseOutcome::Sold { price, .. } => assert!((price - quote.price).abs() < 1e-9),
+        assert!(
+            broker.quote(q).price > quote.price + 1.0,
+            "the repricing moved the price"
+        );
+        match broker.settle(&quote, q, quote.price + 1.0).unwrap() {
+            PurchaseOutcome::Sold { price, answer } => {
+                assert_eq!(price.to_bits(), quote.price.to_bits());
+                assert_eq!(answer.len(), 6);
+            }
             PurchaseOutcome::Declined { .. } => panic!("the old quote must be honored"),
         }
-        let ledger = broker.ledger();
-        assert_eq!(ledger.sales()[0].tick, 3);
-        assert!((ledger.total() - quote.price).abs() < 1e-9);
+    }
+
+    #[test]
+    fn purchase_declines_below_the_quote() {
+        let broker = priced_broker();
+        let q = &buyer_queries()[0];
+        let quote = broker.quote(q);
+        assert!(quote.price > 0.0, "the anticipated query is priced");
+
+        // A budget of exactly the quote buys it.
+        match broker.purchase(q, quote.price).unwrap() {
+            PurchaseOutcome::Sold { price, answer } => {
+                assert_eq!(price.to_bits(), quote.price.to_bits());
+                assert_eq!(answer.rows()[0][0], Value::Int(3));
+            }
+            PurchaseOutcome::Declined { .. } => panic!("budget covers the quote"),
+        }
+        // A shortfall beyond the budget slack declines at the quoted price.
+        for budget in [0.0, quote.price - 10.0 * BUDGET_EPSILON] {
+            match broker.settle(&quote, q, budget).unwrap() {
+                PurchaseOutcome::Declined { price } => {
+                    assert_eq!(price.to_bits(), quote.price.to_bits())
+                }
+                PurchaseOutcome::Sold { .. } => panic!("budget {budget} is below the quote"),
+            }
+        }
+    }
+
+    #[test]
+    fn failed_evaluations_are_errors_not_sales() {
+        // A query over a missing table quotes at 0 (empty conflict set), so
+        // the budget covers it — but evaluation fails, and the settle
+        // returns the error instead of a sale.
+        let broker = priced_broker();
+        let bad = Query::scan("NoSuchTable");
+        let quote = broker.quote(&bad);
+        assert_eq!(quote.price, 0.0);
+        assert!(broker.settle(&quote, &bad, 10.0).is_err());
+        assert!(broker.purchase(&bad, 10.0).is_err());
     }
 
     #[test]
@@ -1101,31 +843,6 @@ mod tests {
     }
 
     #[test]
-    fn ledger_totals_accumulate_over_sales_and_declines() {
-        let mut ledger = RevenueLedger::default();
-        assert!(ledger.is_empty());
-        assert_eq!(ledger.conversion_rate(), None);
-        ledger.record(3, 2.5);
-        ledger.record_at(1, 4.0, 9);
-        ledger.record_decline(7.5);
-        ledger.record_decline(0.5);
-        assert_eq!(ledger.len(), 2);
-        assert!((ledger.total() - 6.5).abs() < 1e-12);
-        assert_eq!(
-            ledger.sales()[1],
-            Sale {
-                conflict_set_len: 1,
-                price: 4.0,
-                tick: 9
-            }
-        );
-        assert_eq!(ledger.sales()[0].tick, 0);
-        assert_eq!(ledger.declined_count(), 2);
-        assert!((ledger.declined_total() - 8.0).abs() < 1e-12);
-        assert_eq!(ledger.conversion_rate(), Some(0.5));
-    }
-
-    #[test]
     fn telemetry_observes_without_changing_quotes() {
         use qp_telemetry::TelemetrySink;
 
@@ -1154,19 +871,17 @@ mod tests {
         instrumented.set_pricing(Pricing::zero_items(instrumented.support().len()));
 
         let snap = sink.snapshot();
-        // quote() ran len + 2 more times on the instrumented broker, and
-        // purchase() quotes internally.
-        assert_eq!(snap.counter("broker.quote"), Some(queries.len() as u64 + 3));
-        assert_eq!(snap.counter("broker.sale"), Some(1));
-        assert_eq!(snap.counter("broker.decline"), Some(1));
-        for name in [
-            "broker.conflict",
-            "broker.price",
-            "reprice.apply",
-            "settle.ledger",
-        ] {
+        for name in ["reprice.apply", "settle.ledger"] {
             let count = snap.histogram(name).map(|h| h.count()).unwrap_or(0);
             assert!(count > 0, "no observations for {name}");
+        }
+        // The broker registers only the series it records: quoting
+        // registers none.
+        for name in ["broker.conflict", "broker.price", "broker.batch"] {
+            assert!(snap.histogram(name).is_none(), "{name} is registered");
+        }
+        for name in ["broker.quote", "broker.sale", "broker.decline"] {
+            assert_eq!(snap.counter(name), None, "{name} is registered");
         }
 
         // The disabled default hands out a disabled sink.

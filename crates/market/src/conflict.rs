@@ -32,7 +32,7 @@
 //!   and the degenerate one-thread case take the serial path unchanged.
 
 use qp_core::parallel::{self, claim_map_into};
-use qp_core::{ItemSet, QuoteScratch};
+use qp_core::ItemSet;
 use qp_pricing::Hypergraph;
 use qp_qdb::{Database, DeltaInstance, DeltaPlan, QdbError, Query, Relation, Tuple};
 
@@ -53,10 +53,9 @@ pub trait ConflictEngine {
 
     /// Computes the conflict set into a caller-owned set, clearing it first.
     ///
-    /// This is the allocation-free entry point of the hot quote path: `out`
-    /// keeps any spilled block buffer across calls (see
-    /// [`ItemSet::clear`]), so recycled sets from a `qp_core::BlockArena`
-    /// make repeated batches allocation-free in steady state.
+    /// `out` keeps any spilled block buffer across calls (see
+    /// [`ItemSet::clear`]), so a caller that reuses one set computes
+    /// conflict set after conflict set without reallocating.
     fn conflict_set_into(&self, query: &Query, out: &mut ItemSet);
 
     /// Number of support databases.
@@ -66,7 +65,8 @@ pub trait ConflictEngine {
     ///
     /// The default maps [`ConflictEngine::conflict_set`] serially;
     /// [`ParallelConflictEngine`] overrides it to fan the batch across
-    /// threads.
+    /// threads. `Broker::quote_batch` and the builder's hypergraph both go
+    /// through it.
     fn conflict_sets(&self, queries: &[Query]) -> Vec<ItemSet> {
         queries.iter().map(|q| self.conflict_set(q)).collect()
     }
@@ -266,49 +266,6 @@ impl<'a> ParallelConflictEngine<'a> {
     pub fn threads(&self) -> usize {
         self.threads
     }
-
-    /// [`ConflictEngine::conflict_sets`] writing through caller-owned
-    /// scratch: the batch's conflict sets land in `scratch.sets` (cleared
-    /// first, query order preserved).
-    ///
-    /// This is the arena-backed entry point `Broker::quote_batch` reuses
-    /// across ticks. On the serial path every set is drawn from
-    /// `scratch.arena`, so spilled block buffers recycled from earlier
-    /// batches make steady-state quoting allocation-free. On the threaded
-    /// path the `scratch.slots` result buffer is reused across batches (the
-    /// per-call allocation that used to dominate small batches), while the
-    /// sets themselves are built by the workers — per-worker arenas would
-    /// not outlive the batch, since spawned workers live only for one call.
-    pub fn conflict_sets_scratch(&self, queries: &[Query], scratch: &mut QuoteScratch) {
-        scratch.sets.clear();
-        let workers = self.threads.min(queries.len());
-        // Same serial/threaded split as `conflict_sets` (see below).
-        if workers <= 1 || queries.len() * self.support.len() < PARALLEL_WORK_THRESHOLD {
-            let engine = DeltaConflictEngine::new(self.db, self.support);
-            scratch.sets.reserve(queries.len());
-            for query in queries {
-                let mut set = scratch.arena.take_set();
-                engine.conflict_set_into(query, &mut set);
-                scratch.sets.push(set);
-            }
-            return;
-        }
-        let mut engines: Vec<_> = (0..workers)
-            .map(|_| DeltaConflictEngine::new(self.db, self.support))
-            .collect();
-        claim_map_into(
-            queries,
-            &mut engines,
-            |engine, query| engine.conflict_set(query),
-            &mut scratch.slots,
-        );
-        scratch.sets.extend(
-            scratch
-                .slots
-                .drain(..)
-                .map(|s| s.expect("the workers fill every slot")),
-        );
-    }
 }
 
 /// Minimum batch work (queries × support databases) before spawning worker
@@ -330,15 +287,42 @@ impl ConflictEngine for ParallelConflictEngine<'_> {
         self.support.len()
     }
 
-    /// Delegates to [`ParallelConflictEngine::conflict_sets_scratch`] with a
-    /// throwaway scratch. One effective worker takes the serial path no
-    /// matter how large the batch is — a second thread cannot exist to share
-    /// the work, so spawn + claim overhead would be pure loss. Multi-worker
-    /// batches still fall back to serial below the work threshold.
+    /// One effective worker takes the serial path no matter how large the
+    /// batch is — a second thread cannot exist to share the work, so the
+    /// spawn and claim overhead would be pure loss. Multi-worker batches
+    /// still fall back to serial below the work threshold. On the threaded
+    /// path each result lands in its query's slot, so the order is the
+    /// queries'.
     fn conflict_sets(&self, queries: &[Query]) -> Vec<ItemSet> {
-        let mut scratch = QuoteScratch::new();
-        self.conflict_sets_scratch(queries, &mut scratch);
-        std::mem::take(&mut scratch.sets)
+        let workers = self.threads.min(queries.len());
+        if workers <= 1 || queries.len() * self.support.len() < PARALLEL_WORK_THRESHOLD {
+            let engine = DeltaConflictEngine::new(self.db, self.support);
+            return queries
+                .iter()
+                .map(|query| {
+                    // Not `conflict_set`, which pre-sizes a buffer to the
+                    // support: most conflict sets fit inline and never
+                    // allocate.
+                    let mut set = ItemSet::new();
+                    engine.conflict_set_into(query, &mut set);
+                    set
+                })
+                .collect();
+        }
+        let mut engines: Vec<_> = (0..workers)
+            .map(|_| DeltaConflictEngine::new(self.db, self.support))
+            .collect();
+        let mut slots = Vec::new();
+        claim_map_into(
+            queries,
+            &mut engines,
+            |engine, query| engine.conflict_set(query),
+            &mut slots,
+        );
+        slots
+            .into_iter()
+            .map(|s| s.expect("the workers fill every slot"))
+            .collect()
     }
 }
 

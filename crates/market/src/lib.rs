@@ -23,10 +23,10 @@
 //!    marketplace would embed — assemble with [`broker::BrokerBuilder`]
 //!    (database → support → pricing algorithm by registry name), quote
 //!    queries singly or in batches, swap the pricing function under live
-//!    read traffic, sell queries, and inspect the per-sale revenue ledger.
-//!    The broker's ledger is in-process only: the server's shard set
-//!    (`qp-server`) owns the durable books and their write-ahead log
-//!    (see `STORAGE.md`).
+//!    read traffic, and sell queries. The broker keeps no books: the
+//!    server's shard set (`qp-server`) owns the durable ledgers and their
+//!    write-ahead log (see `STORAGE.md`), and `qp-sim`'s report tallies
+//!    simulated sales.
 
 pub mod arbitrage;
 pub mod broker;
@@ -37,7 +37,7 @@ pub use arbitrage::{
     check_all, check_combination_arbitrage, check_information_arbitrage, ArbitrageReport,
 };
 pub use broker::{
-    Broker, BrokerBuildError, BrokerBuilder, PurchaseOutcome, QuotedQuery, RevenueLedger, Sale,
+    Broker, BrokerBuildError, BrokerBuilder, PurchaseOutcome, QuotedQuery, BUDGET_EPSILON,
 };
 pub use conflict::{
     build_hypergraph, ConflictEngine, DeltaConflictEngine, NaiveConflictEngine,

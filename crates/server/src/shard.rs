@@ -23,7 +23,8 @@
 //! Quotes are **one-shot contracts**: [`ShardSet::quote`] registers the
 //! quoted price under a fresh id, and [`ShardSet::settle`] consumes the id
 //! and settles at that price — honored even if the epoch has moved on,
-//! matching `Broker::settle`'s guarantee (and its budget tolerance).
+//! matching `Broker::settle`'s guarantee (and its budget tolerance, the
+//! shared `qp_market::BUDGET_EPSILON`).
 //!
 //! # Durability
 //!
@@ -50,7 +51,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use qp_core::ItemSet;
-use qp_market::Broker;
+use qp_market::{Broker, BUDGET_EPSILON};
 use qp_pricing::algorithms::PricingPatch;
 use qp_store::{LedgerSnapshot, ReplayedState, SharedStore, Snapshot, StoreError, WalRecord};
 use qp_telemetry::{Counter, SpanHandle, TelemetrySink};
@@ -61,10 +62,6 @@ use crate::protocol::ShardStats;
 /// flushed wholesale rather than evicted piecemeal — bundles follow a
 /// workload's query pool, so the working set either fits or churns.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
-
-/// Budget slack used when settling, mirroring [`Broker::settle`] so the
-/// network path and the in-process path make identical sold/declined calls.
-const BUDGET_EPSILON: f64 = 1e-9;
 
 /// Cap on outstanding (quoted, unsettled) quotes. Quote ids are issued in
 /// increasing order, so when the table is full the **oldest** pending quote

@@ -156,7 +156,7 @@ impl SettleWorker for &Broker {
         population: &Population,
         _phase: usize,
         buyer: &Buyer,
-        tick: u64,
+        _tick: u64,
     ) -> SettledQuote {
         let query = population.query(buyer);
         // timing: measures the quote+settle round trip for the report's
@@ -165,7 +165,7 @@ impl SettleWorker for &Broker {
         let quote = self.quote(query);
         let price = quote.price;
         let sold = matches!(
-            self.settle(&quote, query, buyer.budget, tick),
+            self.settle(&quote, query, buyer.budget),
             Ok(PurchaseOutcome::Sold { .. })
         );
         SettledQuote {

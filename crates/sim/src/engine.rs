@@ -339,15 +339,26 @@ mod tests {
             },
         );
         assert_eq!(report.ticks.len(), 10);
+        assert!(report
+            .ticks
+            .iter()
+            .enumerate()
+            .all(|(i, t)| t.tick == i as u64));
         assert_eq!(report.quotes(), report.sales() + report.declines());
         assert!(report.repricings.is_empty());
-        // The broker's ledger saw the same traffic the report did.
-        let ledger = broker.ledger();
-        assert_eq!(ledger.len(), report.sales());
-        assert_eq!(ledger.declined_count(), report.declines());
-        assert!((ledger.total() - report.total_revenue()).abs() < 1e-6);
-        // Sales are tick-stamped within the simulated horizon.
-        assert!(ledger.sales().iter().all(|s| s.tick < 10));
+        // Every arrival settles exactly once, as a sale or a decline, and
+        // the per-tick rows add up to the report's totals.
+        for t in &report.ticks {
+            assert_eq!(t.arrivals, t.sold + t.declined, "tick {}", t.tick);
+            assert!(t.revenue >= 0.0 && t.forgone_revenue >= 0.0);
+            assert_eq!(t.sold == 0, t.revenue == 0.0, "tick {}", t.tick);
+        }
+        let arrivals: usize = report.ticks.iter().map(|t| t.arrivals).sum();
+        assert_eq!(arrivals, report.quotes());
+        assert!(report.sales() > 0 && report.declines() > 0);
+        let cumulative = report.cumulative_revenue();
+        assert_eq!(cumulative.len(), 10);
+        assert_eq!(cumulative[9].to_bits(), report.total_revenue().to_bits());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! different willingness to pay, and the broker A/B-tests registry pricing
 //! algorithms — swapping the live pricing through `set_pricing(&self, ...)`
 //! — before selling. The example also runs the empirical arbitrage checks
-//! and prints the per-sale revenue ledger.
+//! and prints its own per-sale tally of bundle sizes and prices.
 
 use query_pricing::market::{check_all, Broker, PurchaseOutcome, SupportConfig};
 use query_pricing::pricing::{algorithms, bounds, Hypergraph, ItemSet};
@@ -101,11 +101,14 @@ fn main() {
     );
     broker.set_pricing(best_pricing);
 
-    // Sell.
+    // Sell, keeping the books here: the broker records nothing.
     println!();
+    let mut sales = Vec::new();
     for (who, q, budget) in &buyers {
-        match broker.purchase(q, *budget).unwrap() {
+        let quote = broker.quote(q);
+        match broker.settle(&quote, q, *budget).unwrap() {
             PurchaseOutcome::Sold { price, answer } => {
+                sales.push((quote.conflict_set.len(), price));
                 println!("SOLD  {who} for {price:.2}");
                 if answer.len() <= 4 {
                     print!("{}", pretty::render_relation(&answer, 4));
@@ -116,17 +119,13 @@ fn main() {
             }
         }
     }
-    let ledger = broker.ledger();
     println!(
         "\nrealized revenue: {:.2} from {}/{} buyers",
-        ledger.total(),
-        ledger.len(),
+        sales.iter().map(|(_, price)| price).sum::<f64>(),
+        sales.len(),
         buyers.len()
     );
-    for sale in ledger.sales() {
-        println!(
-            "  sold a bundle of {:>3} support DBs at {:>6.2}",
-            sale.conflict_set_len, sale.price
-        );
+    for (bundle_size, price) in &sales {
+        println!("  sold a bundle of {bundle_size:>3} support DBs at {price:>6.2}");
     }
 }

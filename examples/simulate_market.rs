@@ -12,8 +12,14 @@
 //! worker threads. Prints the revenue-over-time table the simulator's
 //! `BENCH_sim.json` artifact is built from.
 
+use std::sync::Mutex;
+
 use query_pricing::market::{Broker, SupportConfig};
-use query_pricing::sim::{library, SimConfig};
+use query_pricing::pricing::algorithms::PricingPatch;
+use query_pricing::pricing::Pricing;
+use query_pricing::sim::{
+    library, run_with, Buyer, Population, SettleTransport, SettleWorker, SettledQuote, SimConfig,
+};
 use query_pricing::workloads::queries::skewed;
 use query_pricing::workloads::world::{self, WorldConfig};
 use query_pricing::workloads::Scale;
@@ -48,14 +54,24 @@ fn main() {
         .expect("flash_crowd is in the scenario library");
     println!("scenario: {} — {}\n", scenario.name, scenario.description);
 
-    let report = scenario.run(
-        &broker,
+    let declined_prices = Mutex::new(0.0);
+    let market = Booked {
+        broker: &broker,
+        declined_prices: &declined_prices,
+    };
+    let mut report = run_with(
+        &market,
+        &scenario.schedule,
+        &scenario.arrivals,
+        scenario.policy.build().as_mut(),
         &SimConfig {
             seed: 7,
             algorithm: "UIP".to_string(),
+            ticks: scenario.ticks,
             ..SimConfig::default()
         },
     );
+    report.scenario = scenario.name.to_string();
 
     println!("tick  arrivals  sold  declined   revenue   cumulative");
     let cumulative = report.cumulative_revenue();
@@ -72,14 +88,58 @@ fn main() {
     }
     println!("\n{}", report.summary());
 
-    // The broker's ledger saw the same story, tick-stamped.
-    let ledger = broker.ledger();
+    // The books: the report's totals plus the prices buyers turned down.
     println!(
         "ledger: {} sales totalling {:.2}, {} declines leaving {:.2} on the table, conversion {:.1}%",
-        ledger.len(),
-        ledger.total(),
-        ledger.declined_count(),
-        ledger.declined_total(),
-        100.0 * ledger.conversion_rate().unwrap_or(0.0)
+        report.sales(),
+        report.total_revenue(),
+        report.declines(),
+        declined_prices.into_inner().expect("no settle panicked"),
+        100.0 * report.conversion_rate()
     );
+}
+
+/// The in-process market with the example's own books on top: it settles
+/// through the broker and adds up the quoted prices of declined sales (the
+/// report tallies declined buyers' budgets instead).
+#[derive(Clone, Copy)]
+struct Booked<'a> {
+    broker: &'a Broker,
+    declined_prices: &'a Mutex<f64>,
+}
+
+impl<'a> SettleTransport for Booked<'a> {
+    type Worker = Booked<'a>;
+
+    fn worker(&self) -> Booked<'a> {
+        *self
+    }
+
+    fn install_pricing(&self, pricing: Pricing) {
+        self.broker.set_pricing(pricing);
+    }
+
+    fn apply_patch(&self, patch: &PricingPatch) {
+        self.broker.apply_delta(patch);
+    }
+
+    fn num_items(&self) -> usize {
+        self.broker.support().len()
+    }
+}
+
+impl SettleWorker for Booked<'_> {
+    fn quote_and_settle(
+        &mut self,
+        population: &Population,
+        phase: usize,
+        buyer: &Buyer,
+        tick: u64,
+    ) -> SettledQuote {
+        let settled = self.broker.quote_and_settle(population, phase, buyer, tick);
+        if !settled.sold {
+            *self.declined_prices.lock().expect("no settle panicked") += settled.price;
+        }
+        settled
+    }
 }

@@ -17,7 +17,7 @@
 //! * [`market`] — the Qirana-style query-pricing framework: support sets,
 //!   conflict sets, arbitrage-freeness, and the concurrent [`market::Broker`]
 //!   engine (assembled with [`market::BrokerBuilder`], re-priceable under
-//!   live read traffic, batch quoting, per-sale revenue ledger).
+//!   live read traffic, batch quoting, purchases at the quoted price).
 //! * [`workloads`] — dataset generators (world, TPC-H, SSB), the four query
 //!   workloads of the paper, buyer-valuation models, and buyer arrival
 //!   processes.

@@ -145,7 +145,7 @@ fn broker_quotes_are_arbitrage_free_across_algorithms() {
 }
 
 #[test]
-fn broker_builder_sells_within_budget_and_keeps_a_ledger() {
+fn broker_builder_sells_within_budget() {
     let (db, support) = world_instance();
     // Sum(Population) conflicts with every support database that perturbs a
     // Country population, so this query is reliably priced.
@@ -160,17 +160,16 @@ fn broker_builder_sells_within_budget_and_keeps_a_ledger() {
     let quote = broker.quote(&q);
     assert!(quote.price > 0.0);
     match broker.purchase(&q, quote.price).unwrap() {
-        PurchaseOutcome::Sold { answer, .. } => assert_eq!(answer.len(), 1),
+        PurchaseOutcome::Sold { price, answer } => {
+            assert_eq!(price.to_bits(), quote.price.to_bits());
+            assert_eq!(answer.len(), 1);
+        }
         PurchaseOutcome::Declined { .. } => panic!("exact budget must be accepted"),
     }
     match broker.purchase(&q, quote.price / 2.0).unwrap() {
-        PurchaseOutcome::Declined { .. } => {}
+        PurchaseOutcome::Declined { price } => assert_eq!(price.to_bits(), quote.price.to_bits()),
         PurchaseOutcome::Sold { .. } => panic!("half budget must be declined"),
     }
-    assert!((broker.realized_revenue() - quote.price).abs() < 1e-9);
-    let ledger = broker.ledger();
-    assert_eq!(ledger.len(), 1);
-    assert_eq!(ledger.sales()[0].conflict_set_len, quote.conflict_set.len());
 
     // An unknown algorithm name fails the build instead of silently pricing
     // everything at zero.
