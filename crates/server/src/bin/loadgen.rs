@@ -2,9 +2,9 @@
 //!
 //! For each requested shard count, the binary:
 //!
-//! 1. builds that many identically-priced [`Broker`] replicas over the
-//!    world/skewed workload and starts a [`QuoteServer`] on a loopback
-//!    port;
+//! 1. builds one [`Broker`] over the world/skewed workload and starts a
+//!    [`QuoteServer`] on a loopback port whose shards all price through
+//!    it;
 //! 2. drives it with `qp-sim`'s seeded event loop over the network
 //!    transport — buyers arrive by `qp_workloads::arrivals`, quote and
 //!    purchase over TCP from multiple worker connections, and the engine's
@@ -87,9 +87,10 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
     None
 }
 
-/// A deterministically-priced broker replica — every call with the same
-/// inputs builds the same support, hypergraph, and pricing, which is what
-/// makes shard replicas interchangeable and the determinism check exact.
+/// A deterministically-priced broker — every call with the same inputs
+/// builds the same support, hypergraph, and pricing, which is what makes a
+/// recovered server's rebuilt broker and the in-process baseline's broker
+/// interchangeable with the served one, and the determinism check exact.
 fn build_broker(
     db: &Database,
     pool: &[Query],
@@ -204,24 +205,20 @@ fn run_one(
         telemetry.set_slow_threshold(Duration::ZERO);
     }
 
-    // The shard replicas, plus one reference Arc kept for the bundle table.
-    let brokers: Vec<Arc<Broker>> = (0..shards)
-        .map(|_| {
-            Arc::new(build_broker(
-                db,
-                pool,
-                sizing.support,
-                algorithm,
-                seed,
-                telemetry.clone(),
-            ))
-        })
-        .collect();
-    let reference = Arc::clone(&brokers[0]);
-    let shard_set = ShardSet::new(brokers).with_telemetry(telemetry.clone());
+    // One broker for every shard; the bundle table reads its catalog too.
+    let broker = Arc::new(build_broker(
+        db,
+        pool,
+        sizing.support,
+        algorithm,
+        seed,
+        telemetry.clone(),
+    ));
+    let shard_set =
+        ShardSet::new(vec![Arc::clone(&broker); shards]).with_telemetry(telemetry.clone());
     let mut server = QuoteServer::bind("127.0.0.1:0", shard_set).expect("bind loopback");
 
-    let bundles = BundleTable::for_schedule(&reference, &sched);
+    let bundles = BundleTable::for_schedule(&broker, &sched);
     let mut net = NetTransport::connect(server.local_addr(), bundles).expect("connect transport");
     // Distributed tracing: a separate client-side registry (threshold 0)
     // receives the `client.settle` root spans; the transport mints trace
@@ -365,10 +362,10 @@ fn run_one(
     }
 }
 
-/// One crash-recovery run: a durable server is killed mid-run after
-/// `kill_after` dispatched requests, a supervisor thread recovers it from
-/// the data directory onto a fresh port, and the seeded engine (resilient
-/// transport) rides through the outage. Asserts, bit-for-bit:
+/// One crash-recovery run in the run directory `dir`: a durable server is
+/// killed mid-run after `kill_after` dispatched requests, a supervisor
+/// thread recovers it from `dir` onto a fresh port, and the seeded engine
+/// (resilient transport) rides through the outage. Asserts, bit-for-bit:
 ///
 /// 1. the crash-run revenue equals an uninterrupted in-process run of the
 ///    same seed (recovery lost nothing, replayed nothing twice);
@@ -384,34 +381,28 @@ fn run_crash_one(
     seed: u64,
     arrivals: &ArrivalProcess,
     cfg: &SimConfig,
-    data_dir: &Path,
+    dir: &Path,
     kill_after: u64,
     snapshot_every: u64,
 ) -> (SimReport, SimReport) {
-    let dir = data_dir.join(format!("s{shards}-k{kill_after}"));
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(dir);
     let sched = schedule(pool, sizing.ticks);
     let telemetry = TelemetrySink::enabled();
 
-    let brokers: Vec<Arc<Broker>> = (0..shards)
-        .map(|_| {
-            Arc::new(build_broker(
-                db,
-                pool,
-                sizing.support,
-                algorithm,
-                seed,
-                telemetry.clone(),
-            ))
-        })
-        .collect();
-    let reference = Arc::clone(&brokers[0]);
-    let store: SharedStore = Arc::new(FileStore::open(&dir).expect("open data dir"));
+    let broker = Arc::new(build_broker(
+        db,
+        pool,
+        sizing.support,
+        algorithm,
+        seed,
+        telemetry.clone(),
+    ));
+    let store: SharedStore = Arc::new(FileStore::open(dir).expect("open data dir"));
     // The flight recorder rides along: the crash-switch fire freezes the
     // registry, the recent root spans, the last protocol events, and the
     // store's WAL sequence into `flight.dump` inside the data directory.
-    let recorder = FlightRecorder::new(&dir, telemetry.clone(), Some(Arc::clone(&store)));
-    let shard_set = ShardSet::new(brokers)
+    let recorder = FlightRecorder::new(dir, telemetry.clone(), Some(Arc::clone(&store)));
+    let shard_set = ShardSet::new(vec![Arc::clone(&broker); shards])
         .with_store(store, snapshot_every)
         .with_telemetry(telemetry.clone());
     let crash = CrashSwitch::after(kill_after);
@@ -438,7 +429,7 @@ fn run_crash_one(
         let pool = pool.to_vec();
         let algorithm = algorithm.to_string();
         let telemetry = telemetry.clone();
-        let dir = dir.clone();
+        let dir = dir.to_path_buf();
         let support = sizing.support;
         let recovered_seq = Arc::clone(&recovered_seq);
         std::thread::spawn(move || {
@@ -449,26 +440,26 @@ fn run_crash_one(
                     // Drain in-flight dispatches before touching the dir:
                     // after quiesce the dead server can never append again.
                     server.quiesce();
-                    let brokers: Vec<Arc<Broker>> = (0..shards)
-                        .map(|_| {
-                            Arc::new(build_broker(
-                                &db,
-                                &pool,
-                                support,
-                                &algorithm,
-                                seed,
-                                telemetry.clone(),
-                            ))
-                        })
-                        .collect();
+                    let broker = Arc::new(build_broker(
+                        &db,
+                        &pool,
+                        support,
+                        &algorithm,
+                        seed,
+                        telemetry.clone(),
+                    ));
                     let store: SharedStore =
                         Arc::new(FileStore::open(&dir).expect("reopen data dir"));
                     // ordering: SeqCst — published for the post-run flight
                     // dump assertion; exactness over speed off the hot path.
                     recovered_seq.store(store.wal_seq(), Ordering::SeqCst);
-                    let (set, _state) =
-                        ShardSet::restore(brokers, DEFAULT_CACHE_CAPACITY, store, snapshot_every)
-                            .expect("crash recovery");
+                    let (set, _state) = ShardSet::restore(
+                        vec![broker; shards],
+                        DEFAULT_CACHE_CAPACITY,
+                        store,
+                        snapshot_every,
+                    )
+                    .expect("crash recovery");
                     let set = set.with_telemetry(telemetry.clone());
                     server = QuoteServer::bind("127.0.0.1:0", set).expect("rebind after crash");
                     endpoint.update(server.local_addr());
@@ -485,7 +476,7 @@ fn run_crash_one(
         })
     };
 
-    let bundles = BundleTable::for_schedule(&reference, &sched);
+    let bundles = BundleTable::for_schedule(&broker, &sched);
     let net = NetTransport::connect_endpoint(Arc::clone(&endpoint), bundles).expect("connect");
     let mut policy = EveryNTicks::new(4);
     let net_cfg = SimConfig {
@@ -525,7 +516,7 @@ fn run_crash_one(
     // The crash must have left a parseable flight dump whose frozen WAL
     // sequence is exactly what the supervisor's recovery scan found — the
     // dump and the recovered store describe the same instant of death.
-    let dump = qp_telemetry::FlightDump::read_from(&dir)
+    let dump = qp_telemetry::FlightDump::read_from(dir)
         .expect("read flight dump")
         .expect("the crash fire site writes flight.dump");
     assert_eq!(dump.reason, "crash-switch kill", "dump reason");
@@ -574,7 +565,7 @@ fn run_crash_one(
         seed,
         TelemetrySink::default(),
     );
-    let replay_store = FileStore::open(&dir).expect("reopen for replay");
+    let replay_store = FileStore::open(dir).expect("reopen for replay");
     let recovery = replay_store.recover().expect("recover for replay");
     let (seed_pricing, seed_epoch) = oracle_broker.pricing_snapshot();
     let state = recovery.replay(seed_pricing, seed_epoch, shards);
@@ -669,18 +660,19 @@ fn main() {
     // server after N dispatched requests (per offset, per shard count),
     // recovers it from `--data-dir`, and demands bit-identical revenue
     // against the uninterrupted in-process run. No benchmark artifact —
-    // this mode is a correctness gate.
+    // this mode is a correctness gate. Each run's directory is removed once
+    // its oracles pass (a failing run keeps it for post-mortem), and so is
+    // the default root once every run has passed.
     if let Some(kill_list) = arg_value(&args, "--kill-after") {
         let offsets: Vec<u64> = kill_list
             .split(',')
             .filter_map(|s| s.trim().parse().ok())
             .collect();
         assert!(!offsets.is_empty(), "--kill-after parsed to nothing");
-        let data_dir = arg_value(&args, "--data-dir")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| {
-                std::env::temp_dir().join(format!("qp-crash-{}", std::process::id()))
-            });
+        let given_dir = arg_value(&args, "--data-dir").map(PathBuf::from);
+        let data_dir = given_dir.clone().unwrap_or_else(|| {
+            std::env::temp_dir().join(format!("qp-crash-{}", std::process::id()))
+        });
         let snapshot_every: u64 = arg_value(&args, "--snapshot-every")
             .and_then(|s| s.parse().ok())
             .unwrap_or(DEFAULT_SNAPSHOT_EVERY);
@@ -692,6 +684,7 @@ fn main() {
         let mut runs = 0usize;
         for &shards in &sizing.shard_counts {
             for &kill in &offsets {
+                let run_dir = data_dir.join(format!("s{shards}-k{kill}"));
                 let (report, baseline) = run_crash_one(
                     &db,
                     &pool,
@@ -701,7 +694,7 @@ fn main() {
                     seed,
                     &arrivals,
                     &cfg,
-                    &data_dir,
+                    &run_dir,
                     kill,
                     snapshot_every,
                 );
@@ -730,8 +723,14 @@ fn main() {
                     "crash recovery diverged at {shards} shards, kill@{kill}: \
                      {revenue:.17} vs {baseline_revenue:.17}"
                 );
+                std::fs::remove_dir_all(&run_dir)
+                    .unwrap_or_else(|e| panic!("removing {}: {e}", run_dir.display()));
                 runs += 1;
             }
+        }
+        if given_dir.is_none() {
+            std::fs::remove_dir(&data_dir)
+                .unwrap_or_else(|e| panic!("removing {}: {e}", data_dir.display()));
         }
         println!("crash harness: {runs} kill/recover runs, every one bit-identical");
         return;

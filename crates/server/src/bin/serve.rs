@@ -1,7 +1,7 @@
 //! A standalone quote server over a generated workload.
 //!
-//! Builds `--shards` identically-priced broker replicas for the world/
-//! skewed workload, binds `--addr`, and serves until a `SHUTDOWN` frame
+//! Builds one broker for the world/skewed workload, splits its quote cache
+//! into `--shards` shards, binds `--addr`, and serves until a `SHUTDOWN` frame
 //! arrives (e.g. `QuoteClient::shutdown_server`) or the process is killed:
 //!
 //! ```bash
@@ -86,20 +86,17 @@ fn main() {
     );
 
     let telemetry = TelemetrySink::enabled();
-    let brokers: Vec<Arc<Broker>> = (0..shards)
-        .map(|_| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            Arc::new(
-                Broker::builder(db.clone())
-                    .support_config(SupportConfig::with_size(support))
-                    .algorithm(&algorithm)
-                    .anticipate_all(pool.iter().map(|q| (q.clone(), rng.gen_range(1.0..=50.0))))
-                    .telemetry(telemetry.clone())
-                    .build()
-                    .unwrap_or_else(|e| panic!("broker build failed: {e}")),
-            )
-        })
-        .collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let broker = Arc::new(
+        Broker::builder(db)
+            .support_config(SupportConfig::with_size(support))
+            .algorithm(&algorithm)
+            .anticipate_all(pool.iter().map(|q| (q.clone(), rng.gen_range(1.0..=50.0))))
+            .telemetry(telemetry.clone())
+            .build()
+            .unwrap_or_else(|e| panic!("broker build failed: {e}")),
+    );
+    let brokers = vec![broker; shards];
 
     let (shard_set, recorder) = if let Some(dir) = &data_dir {
         // A previous crash leaves `flight.dump` in the data directory:
@@ -118,7 +115,7 @@ fn main() {
             Err(e) => println!("unreadable flight dump in {dir}: {e}"),
         }
         // Durable mode: recovery first (a fresh directory recovers to the
-        // brokers' own initial state), then keep logging into the same
+        // broker's own initial state), then keep logging into the same
         // store. Recovery must finish before the listener binds so no
         // client ever sees pre-recovery state.
         let store: SharedStore = Arc::new(

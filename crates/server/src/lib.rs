@@ -15,10 +15,9 @@
 //!   incremental-delta path arriving over the wire. Floats travel as bit
 //!   patterns, so revenue survives the network bit-exactly. Specified
 //!   byte-by-byte in `PROTOCOL.md`.
-//! * [`shard`] — the [`ShardSet`]: `k` identically priced
-//!   [`qp_market::Broker`] replicas, bundle routing by
-//!   `ItemSet::stable_hash mod k`, and a per-shard quote cache whose
-//!   entries are `(price, epoch)` pairs validated against the broker's
+//! * [`shard`] — the [`ShardSet`]: one [`qp_market::Broker`] and `k`
+//!   quote caches, bundle routing by `ItemSet::stable_hash mod k`, each
+//!   cache's entries `(price, epoch)` pairs validated against the broker's
 //!   pricing epoch — any repricing bumps the epoch, so a stale price can
 //!   never be served (the contract documented in `qp_market::broker`).
 //! * [`server`] / [`client`] — the TCP accept loop fanning connections

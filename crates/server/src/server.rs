@@ -545,7 +545,7 @@ mod tests {
     }
 
     fn start_server(shards: usize) -> QuoteServer {
-        let set = ShardSet::new((0..shards).map(|_| tiny_broker()).collect());
+        let set = ShardSet::new(vec![tiny_broker(); shards]);
         QuoteServer::bind("127.0.0.1:0", set).expect("bind loopback")
     }
 

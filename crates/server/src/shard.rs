@@ -1,11 +1,12 @@
-//! The sharded quote engine: [`Broker`] replicas behind an epoch-validated
-//! quote cache.
+//! The sharded quote engine: one [`Broker`] behind `k` epoch-validated
+//! quote caches.
 //!
-//! A [`ShardSet`] owns `k` broker replicas (identically built, identically
-//! priced — repricing patches are broadcast to all of them). Every bundle
-//! is routed to the shard `stable_hash(bundle) mod k`, which spreads load
-//! and gives each bundle **cache affinity**: repeated quotes for the same
-//! bundle hit the same shard's cache and never touch the pricing lock.
+//! A [`ShardSet`] prices every bundle through **one** broker — one catalog,
+//! one pricing `RwLock`, one epoch — and splits only the quote cache, its
+//! counters and the books into `k` shards. Every bundle is routed to the
+//! shard `stable_hash(bundle) mod k`, which spreads load and gives each
+//! bundle **cache affinity**: repeated quotes for the same bundle hit the
+//! same shard's cache and never touch the pricing lock.
 //!
 //! # Cache correctness
 //!
@@ -13,7 +14,8 @@
 //! [`Broker::versioned_price`], which is atomically consistent (the epoch
 //! is read under the pricing read lock; writers bump it under the write
 //! lock — see the `qp_market::broker` module docs). A hit is served only
-//! when the entry's epoch equals the broker's *current* epoch; since every
+//! when the entry's epoch equals the broker's *current* epoch, which every
+//! shard reads from the same broker; since every
 //! observable repricing strictly increases the epoch, a stale entry can
 //! never satisfy that check. The pair served to the client is therefore
 //! always self-consistent: the price is exactly what the pricing at the
@@ -30,8 +32,8 @@
 //!
 //! With a store attached ([`ShardSet::with_store`]), every settle — sales,
 //! declines, and pressure evictions alike — appends a WAL record *before*
-//! the call returns (append-before-ack), and every repricing broadcast
-//! appends its patch; on a cadence of broadcasts the full state is written
+//! the call returns (append-before-ack), and every repricing appends its
+//! patch; on a cadence of repricings the full state is written
 //! as an epoch-stamped snapshot. The shard set is the only durability
 //! owner: each shard's books are a [`LedgerSnapshot`], and every settle or
 //! eviction builds its [`WalRecord`] once, appends it, and folds that same
@@ -75,7 +77,7 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 pub const MAX_PENDING_QUOTES: usize = 1 << 16;
 
 /// Default snapshot cadence: a full state snapshot is written every this
-/// many non-`Keep` repricing broadcasts. Repricings are the natural beat —
+/// many non-`Keep` repricings. Repricings are the natural beat —
 /// they bound how many `Reprice` records a recovery replays, and settle
 /// records between snapshots replay cheaply.
 pub const DEFAULT_SNAPSHOT_EVERY: u64 = 8;
@@ -85,13 +87,15 @@ struct CacheEntry {
     price: f64,
 }
 
+/// One cache partition: its entries, its counters and its books. The
+/// pricing lives in the [`ShardSet`]'s one broker.
+#[derive(Default)]
 struct Shard {
-    broker: Arc<Broker>,
     cache: Mutex<HashMap<ItemSet, CacheEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Cache entries dropped because a repricing bumped the shard's epoch
-    /// (each broadcast counts the entries it stranded). A `REPRICE` storm
+    /// Cache entries dropped because a repricing bumped the epoch (each
+    /// repricing counts the entries it stranded). A `REPRICE` storm
     /// is visible here long before hit rates decay.
     invalidations: AtomicU64,
     /// Pending quotes this shard served that were expired under table
@@ -99,9 +103,8 @@ struct Shard {
     /// decline in the ledger).
     evictions: AtomicU64,
     /// The shard's books: the fold of its WAL records (see the module
-    /// docs). Separate from the broker's in-process ledger: wire purchases
-    /// settle bundles, not queries, so nothing is evaluated on the
-    /// database here.
+    /// docs). Wire purchases settle bundles, not queries, so nothing is
+    /// evaluated on the database here.
     ledger: Mutex<LedgerSnapshot>,
 }
 
@@ -152,7 +155,7 @@ pub enum SettleOutcome {
 /// with the store's `wal_seq`.
 struct Durability {
     store: Option<SharedStore>,
-    /// Snapshot every this many non-`Keep` repricing broadcasts.
+    /// Snapshot every this many non-`Keep` repricings.
     snapshot_every: u64,
     reprices_since_snapshot: u64,
 }
@@ -186,10 +189,12 @@ impl Durability {
     }
 }
 
-/// `k` broker replicas, a router, per-shard epoch-validated caches, and
-/// the outstanding-quote table. The transport-independent core of the
-/// server: the TCP layer only decodes frames into these calls.
+/// One broker, a router, `k` epoch-validated caches, and the
+/// outstanding-quote table. The transport-independent core of the server:
+/// the TCP layer only decodes frames into these calls.
 pub struct ShardSet {
+    /// The one pricing every shard quotes from.
+    broker: Arc<Broker>,
     shards: Vec<Shard>,
     cache_capacity: usize,
     pending_cap: usize,
@@ -226,7 +231,8 @@ struct ShardSetTelemetry {
     price: SpanHandle,
     /// `settle.ledger` — settling a pending quote into the shard ledger.
     settle: SpanHandle,
-    /// `reprice.broadcast` — patching every shard replica.
+    /// `reprice.broadcast` — patching the pricing and clearing the caches
+    /// it stranded.
     broadcast: SpanHandle,
     /// `cache.hit` / `cache.miss` / `cache.invalidated` totals.
     cache_hits: Counter,
@@ -254,13 +260,15 @@ impl ShardSetTelemetry {
 }
 
 impl ShardSet {
-    /// Builds a shard set over broker replicas with the default cache
-    /// capacity. The brokers should be identically built and priced;
-    /// repricing broadcasts keep them in lockstep afterwards.
+    /// Builds a shard set with the default cache capacity. The list's
+    /// length is the shard count and its first entry is the broker every
+    /// shard prices through; pass `vec![Arc::clone(&broker); k]`.
     ///
     /// # Panics
     ///
-    /// Panics on an empty replica list.
+    /// Panics on an empty list, or if any later entry is neither the first
+    /// `Arc` nor priced identically to it (pricing and epoch): the set has
+    /// one pricing, so it cannot honour a second one.
     pub fn new(brokers: Vec<Arc<Broker>>) -> ShardSet {
         ShardSet::with_cache_capacity(brokers, DEFAULT_CACHE_CAPACITY)
     }
@@ -268,20 +276,21 @@ impl ShardSet {
     /// [`ShardSet::new`] with an explicit per-shard cache capacity
     /// (0 disables caching: every quote reads the pricing).
     pub fn with_cache_capacity(brokers: Vec<Arc<Broker>>, cache_capacity: usize) -> ShardSet {
-        assert!(!brokers.is_empty(), "a shard set needs at least one broker");
+        let shards = brokers.len();
+        let mut brokers = brokers.into_iter();
+        let Some(broker) = brokers.next() else {
+            panic!("a shard set needs at least one broker");
+        };
+        for other in brokers {
+            assert!(
+                Arc::ptr_eq(&broker, &other)
+                    || other.pricing_snapshot() == broker.pricing_snapshot(),
+                "every broker of a shard set must carry the first one's pricing and epoch"
+            );
+        }
         ShardSet {
-            shards: brokers
-                .into_iter()
-                .map(|broker| Shard {
-                    broker,
-                    cache: Mutex::new(HashMap::new()),
-                    hits: AtomicU64::new(0),
-                    misses: AtomicU64::new(0),
-                    invalidations: AtomicU64::new(0),
-                    evictions: AtomicU64::new(0),
-                    ledger: Mutex::new(LedgerSnapshot::default()),
-                })
-                .collect(),
+            broker,
+            shards: (0..shards).map(|_| Shard::default()).collect(),
             cache_capacity,
             pending_cap: MAX_PENDING_QUOTES,
             next_quote_id: AtomicU64::new(0),
@@ -307,9 +316,9 @@ impl ShardSet {
     }
 
     /// Attaches a durable store: every settle and eviction appends a WAL
-    /// record before returning, every non-`Keep` repricing broadcast
-    /// appends its patch, and a full snapshot is written every
-    /// `snapshot_every` non-`Keep` broadcasts (see the module docs).
+    /// record before returning, every non-`Keep` repricing appends its
+    /// patch, and a full snapshot is written every `snapshot_every`
+    /// non-`Keep` repricings (see the module docs).
     ///
     /// # Panics
     ///
@@ -330,39 +339,39 @@ impl ShardSet {
     /// watermark. The store stays attached, so the recovered set resumes
     /// logging where the crashed one stopped.
     ///
-    /// `brokers` must be **freshly rebuilt the same deterministic way** as
-    /// the crashed set's (same database, support, algorithm, anticipated
-    /// workload, shard count): the first broker's pricing/epoch seed the
-    /// replay for the no-snapshot, no-`Replace`-record case. Returns the
-    /// replayed state alongside the set so callers can use it as the
-    /// recovery oracle.
+    /// `brokers` is read as by [`ShardSet::new`]; its broker must be
+    /// **freshly rebuilt the same deterministic way** as the crashed set's
+    /// (same database, support, algorithm, anticipated workload), and its
+    /// length must be the crashed set's shard count. The broker's
+    /// pricing/epoch seed the replay for the no-snapshot,
+    /// no-`Replace`-record case. Returns the replayed state alongside the
+    /// set so callers can use it as the recovery oracle.
     ///
     /// # Panics
     ///
-    /// Panics if the recovered state's shard count differs from
-    /// `brokers.len()` — revenue recorded by a shard that no longer
-    /// exists cannot be restored, so a changed topology must be rejected
-    /// loudly rather than silently dropping ledgers.
+    /// Panics as [`ShardSet::new`] does, and if the recovered state's
+    /// shard count differs from `brokers.len()` — revenue recorded by a
+    /// shard that no longer exists cannot be restored, so a changed
+    /// topology must be rejected loudly rather than silently dropping
+    /// ledgers.
     pub fn restore(
         brokers: Vec<Arc<Broker>>,
         cache_capacity: usize,
         store: SharedStore,
         snapshot_every: u64,
     ) -> Result<(ShardSet, ReplayedState), StoreError> {
-        assert!(!brokers.is_empty(), "a shard set needs at least one broker");
+        let set = ShardSet::with_cache_capacity(brokers, cache_capacity);
         let recovery = store.recover()?;
-        let (seed_pricing, seed_epoch) = brokers[0].pricing_snapshot();
-        let state = recovery.replay(seed_pricing, seed_epoch, brokers.len());
+        let (seed_pricing, seed_epoch) = set.broker.pricing_snapshot();
+        let state = recovery.replay(seed_pricing, seed_epoch, set.num_shards());
         assert_eq!(
             state.shards.len(),
-            brokers.len(),
+            set.num_shards(),
             "recovered state has a different shard count than the rebuilt set"
         );
-        for broker in &brokers {
-            broker.restore_pricing(state.pricing.clone(), state.epoch);
-        }
-        let set = ShardSet::with_cache_capacity(brokers, cache_capacity)
-            .with_store(store, snapshot_every);
+        set.broker
+            .restore_pricing(state.pricing.clone(), state.epoch);
+        let set = set.with_store(store, snapshot_every);
         for (shard, ledger) in set.shards.iter().zip(&state.shards) {
             *shard.ledger.lock() = *ledger;
         }
@@ -378,7 +387,7 @@ impl ShardSet {
     /// Attaches a telemetry sink: the quote path records per-stage spans
     /// (`quote.route` → `quote.cache` → `quote.price`), cache outcomes
     /// count into `cache.hit`/`cache.miss`/`cache.invalidated`, and
-    /// repricing broadcasts time into `reprice.broadcast`. Telemetry is
+    /// repricings time into `reprice.broadcast`. Telemetry is
     /// strictly out-of-band: prices, epochs, and ledgers are identical
     /// with it on or off.
     pub fn with_telemetry(mut self, sink: TelemetrySink) -> ShardSet {
@@ -404,9 +413,15 @@ impl ShardSet {
         (bundle.stable_hash() % self.shards.len() as u64) as usize
     }
 
-    /// The broker replica behind a shard (tests and embedders).
+    /// The broker a shard prices through (tests and embedders): the same
+    /// one for every shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is not below [`ShardSet::num_shards`].
     pub fn broker(&self, shard: usize) -> &Arc<Broker> {
-        &self.shards[shard].broker
+        assert!(shard < self.shards.len(), "shard {shard} out of range");
+        &self.broker
     }
 
     /// Quotes a bundle: routes, serves from the epoch-validated cache when
@@ -425,7 +440,7 @@ impl ShardSet {
         }
         let shard = &self.shards[idx];
 
-        let current_epoch = shard.broker.pricing_epoch();
+        let current_epoch = self.broker.pricing_epoch();
         let cached = {
             let _span = self.telemetry.cache.enter();
             shard
@@ -451,7 +466,7 @@ impl ShardSet {
                 let _span = self.telemetry.price.enter();
                 // The only way a (price, epoch) pair enters the system:
                 // atomically consistent by the broker's contract.
-                let (price, epoch) = shard.broker.versioned_price(bundle);
+                let (price, epoch) = self.broker.versioned_price(bundle);
                 if self.cache_capacity > 0 {
                     let mut cache = shard.cache.lock();
                     if cache.len() >= self.cache_capacity && !cache.contains_key(bundle) {
@@ -584,58 +599,48 @@ impl ShardSet {
         }
     }
 
-    /// Broadcasts a pricing patch to every shard and returns the post-patch
-    /// epochs in shard order. Each non-`Keep` patch bumps the shard's epoch
-    /// under its pricing write lock, instantly invalidating that shard's
-    /// whole cache (entries carry the old epoch); the stranded entries are
-    /// counted per shard and dropped eagerly so memory follows the live
-    /// epoch.
+    /// Applies a pricing patch to the one pricing and returns the
+    /// post-patch epoch once per shard, in shard order. A non-`Keep` patch
+    /// bumps the epoch under the pricing write lock, instantly invalidating
+    /// every shard's cache (entries carry the old epoch); the stranded
+    /// entries are counted per shard and dropped eagerly so memory follows
+    /// the live epoch.
     pub fn apply_patch(&self, patch: &PricingPatch) -> Vec<u64> {
         let _span = self.telemetry.broadcast.enter();
-        // The durability lock is held across the whole broadcast: the WAL
-        // patch record, the per-shard installs, and (on cadence) the
-        // snapshot form one atomic unit relative to settles, so recovery
-        // never sees a half-broadcast pricing.
+        // The durability lock is held across the whole repricing: the WAL
+        // patch record, the install, and (on cadence) the snapshot form one
+        // atomic unit relative to settles, so recovery never sees a
+        // half-applied pricing.
         let mut dur = self.durability.lock();
-        let is_keep = matches!(patch, PricingPatch::Keep);
-        if !is_keep {
+        if !matches!(patch, PricingPatch::Keep) {
             dur.log(&WalRecord::Reprice {
                 patch: patch.clone(),
             });
-        }
-        let epochs: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let before = s.broker.pricing_epoch();
-                s.broker.apply_delta(patch);
-                let after = s.broker.pricing_epoch();
-                if after != before {
-                    // Every cached entry carries an epoch < after and can
-                    // never be served again: count and drop them now.
-                    let stranded = {
-                        let mut cache = s.cache.lock();
-                        let n = cache.len();
-                        cache.clear();
-                        n as u64
-                    };
-                    if stranded > 0 {
-                        // ordering: Relaxed — statistics counter.
-                        s.invalidations.fetch_add(stranded, Ordering::Relaxed);
-                        self.telemetry.cache_invalidations.add(stranded);
-                    }
+            self.broker.apply_delta(patch);
+            // Every cached entry carries an older epoch and can never be
+            // served again: count and drop them now.
+            for s in &self.shards {
+                let stranded = {
+                    let mut cache = s.cache.lock();
+                    let n = cache.len();
+                    cache.clear();
+                    n as u64
+                };
+                if stranded > 0 {
+                    // ordering: Relaxed — statistics counter.
+                    s.invalidations.fetch_add(stranded, Ordering::Relaxed);
+                    self.telemetry.cache_invalidations.add(stranded);
                 }
-                after
-            })
-            .collect();
-        if !is_keep && dur.store.is_some() {
-            dur.reprices_since_snapshot += 1;
-            if dur.reprices_since_snapshot >= dur.snapshot_every {
-                dur.reprices_since_snapshot = 0;
-                self.write_snapshot_locked(&dur);
+            }
+            if dur.store.is_some() {
+                dur.reprices_since_snapshot += 1;
+                if dur.reprices_since_snapshot >= dur.snapshot_every {
+                    dur.reprices_since_snapshot = 0;
+                    self.write_snapshot_locked(&dur);
+                }
             }
         }
-        epochs
+        vec![self.broker.pricing_epoch(); self.shards.len()]
     }
 
     /// Writes a full-state snapshot. The caller holds the durability lock,
@@ -644,7 +649,7 @@ impl ShardSet {
     /// `1..=wal_seq`.
     fn write_snapshot_locked(&self, dur: &Durability) {
         let Some(store) = &dur.store else { return };
-        let (pricing, epoch) = self.shards[0].broker.pricing_snapshot();
+        let (pricing, epoch) = self.broker.pricing_snapshot();
         let snapshot = Snapshot {
             epoch,
             wal_seq: store.wal_seq(),
@@ -673,6 +678,7 @@ impl ShardSet {
 
     /// Per-shard serving statistics, in shard order.
     pub fn stats(&self) -> Vec<ShardStats> {
+        let epoch = self.broker.pricing_epoch();
         self.shards
             .iter()
             .map(|s| {
@@ -690,7 +696,7 @@ impl ShardSet {
                 // ordering: Relaxed — as above.
                 let evictions = s.evictions.load(Ordering::Relaxed);
                 ShardStats {
-                    epoch: s.broker.pricing_epoch(),
+                    epoch,
                     quotes: hits + misses,
                     cache_hits: hits,
                     invalidations,
@@ -740,7 +746,7 @@ mod tests {
     }
 
     fn shard_set(shards: usize) -> ShardSet {
-        ShardSet::new((0..shards).map(|_| tiny_broker()).collect())
+        ShardSet::new(vec![tiny_broker(); shards])
     }
 
     #[test]
@@ -1008,7 +1014,7 @@ mod tests {
 
         const CAP: usize = 3;
         let store = Arc::new(MemStore::new());
-        let live = ShardSet::new((0..2).map(|_| tiny_broker()).collect())
+        let live = shard_set(2)
             .with_pending_cap(CAP)
             .with_store(store.clone(), 2);
         // Interleave sales, declines, evictions, and repricings; with a
@@ -1091,13 +1097,9 @@ mod tests {
         let live_stats = live.stats();
         drop(live); // the crash
 
-        let (recovered, state) = ShardSet::restore(
-            (0..2).map(|_| tiny_broker()).collect(),
-            DEFAULT_CACHE_CAPACITY,
-            store,
-            2,
-        )
-        .expect("recovery succeeds");
+        let (recovered, state) =
+            ShardSet::restore(vec![tiny_broker(); 2], DEFAULT_CACHE_CAPACITY, store, 2)
+                .expect("recovery succeeds");
         let rec_stats = recovered.stats();
         assert_eq!(rec_stats.len(), live_stats.len());
         for (r, l) in rec_stats.iter().zip(&live_stats) {
@@ -1185,19 +1187,75 @@ mod tests {
         assert_eq!(routed.count(), 6);
     }
 
+    /// One bundle per shard of `set`, each routed to its shard.
+    fn bundle_per_shard(set: &ShardSet) -> Vec<ItemSet> {
+        (0..set.num_shards())
+            .map(|shard| {
+                (0..64usize)
+                    .map(|i| ItemSet::from([i, i + 1].as_slice()))
+                    .find(|b| set.route(b) == shard)
+                    .expect("some small bundle routes to every shard")
+            })
+            .collect()
+    }
+
     #[test]
-    fn patches_broadcast_to_every_shard() {
+    fn one_patch_moves_the_one_epoch_and_clears_every_shard_cache() {
         let set = shard_set(3);
-        let before: Vec<u64> = (0..3).map(|i| set.broker(i).pricing_epoch()).collect();
+        assert!(Arc::ptr_eq(set.broker(0), set.broker(2)));
+        let bundles = bundle_per_shard(&set);
+        for b in &bundles {
+            set.quote(b);
+            assert!(set.quote(b).cache_hit, "warm entry");
+        }
+        let before = set.broker(0).pricing_epoch();
         let epochs = set.apply_patch(&PricingPatch::Replace(Pricing::UniformBundle {
             price: 7.0,
         }));
-        assert_eq!(epochs.len(), 3);
-        for (i, e) in epochs.iter().enumerate() {
-            assert_eq!(*e, before[i] + 1);
-            let bundle: ItemSet = [i].as_slice().into();
-            let (price, _) = set.broker(i).versioned_price(&bundle);
-            assert_eq!(price, 7.0);
+        assert_eq!(epochs, vec![before + 1; 3]);
+        assert_eq!(set.broker(1).pricing_epoch(), before + 1);
+        for (shard, b) in bundles.iter().enumerate() {
+            let q = set.quote(b);
+            assert_eq!(q.shard, shard);
+            assert!(!q.cache_hit, "shard {shard} served a stranded entry");
+            assert_eq!((q.price, q.epoch), (7.0, before + 1));
         }
+        assert!(set.stats().iter().all(|s| s.invalidations == 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "first one's pricing and epoch")]
+    fn differently_priced_brokers_are_rejected() {
+        let other = tiny_broker();
+        let (_, epoch) = other.pricing_snapshot();
+        other.restore_pricing(Pricing::UniformBundle { price: 7.0 }, epoch);
+        let _ = ShardSet::new(vec![tiny_broker(), other]);
+    }
+
+    #[test]
+    fn distinct_identical_brokers_serve_the_bits_of_one_shared_broker() {
+        let shared = shard_set(3);
+        let distinct = ShardSet::new((0..3).map(|_| tiny_broker()).collect());
+        let bundles = bundle_per_shard(&shared);
+        for round in 0..3u64 {
+            for (i, b) in bundles.iter().enumerate() {
+                let (s, d) = (shared.quote(b), distinct.quote(b));
+                assert_eq!(
+                    (s.quote_id, s.shard, s.price.to_bits(), s.epoch, s.cache_hit),
+                    (d.quote_id, d.shard, d.price.to_bits(), d.epoch, d.cache_hit)
+                );
+                let budget = (round * 3 + i as u64) as f64;
+                assert_eq!(
+                    shared.settle(s.quote_id, budget, round),
+                    distinct.settle(d.quote_id, budget, round)
+                );
+            }
+            let patch = PricingPatch::SetUniformPrice(2.5 + round as f64);
+            assert_eq!(shared.apply_patch(&patch), distinct.apply_patch(&patch));
+        }
+        assert_eq!(
+            crate::protocol::Response::Stats(shared.stats()).encode(),
+            crate::protocol::Response::Stats(distinct.stats()).encode()
+        );
     }
 }

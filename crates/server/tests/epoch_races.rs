@@ -73,11 +73,10 @@ fn assert_consistent(price: f64, epoch: u64, epoch0: u64, context: &str) {
 
 #[test]
 fn concurrent_quoters_never_see_a_stale_price_in_process() {
-    let set = ShardSet::new(vec![tiny_broker(), tiny_broker()]);
-    // Step 0 installs BASE on every shard; per-shard epochs now agree.
+    let set = ShardSet::new(vec![tiny_broker(); 2]);
+    // Step 0 installs BASE in the one pricing both shards quote from.
     set.apply_patch(&PricingPatch::SetUniformPrice(BASE));
     let epoch0 = set.broker(0).pricing_epoch();
-    assert_eq!(epoch0, set.broker(1).pricing_epoch());
 
     let stop = AtomicBool::new(false);
     let progress = AtomicU64::new(0);
@@ -134,10 +133,10 @@ fn concurrent_quoters_never_see_a_stale_price_in_process() {
         assert!(hits < quotes, "every quote a hit is impossible from cold");
     });
 
-    // Quiescent end state: epochs in lockstep, caches consistent again.
-    for shard in 0..set.num_shards() {
-        assert_eq!(set.broker(shard).pricing_epoch(), epoch0 + repricings);
-    }
+    // Quiescent end state: one patch per repricing moved the one epoch,
+    // every shard reports it, and the caches are consistent again.
+    assert_eq!(set.broker(0).pricing_epoch(), epoch0 + repricings);
+    assert!(set.stats().iter().all(|s| s.epoch == epoch0 + repricings));
     for bundle in &pool {
         let q = set.quote(bundle);
         assert_consistent(q.price, q.epoch, epoch0, "quiescent");
@@ -147,7 +146,7 @@ fn concurrent_quoters_never_see_a_stale_price_in_process() {
 
 #[test]
 fn concurrent_quoters_never_see_a_stale_price_over_tcp() {
-    let set = ShardSet::new(vec![tiny_broker(), tiny_broker()]);
+    let set = ShardSet::new(vec![tiny_broker(); 2]);
     set.apply_patch(&PricingPatch::SetUniformPrice(BASE));
     let epoch0 = set.broker(0).pricing_epoch();
     let mut server = QuoteServer::bind("127.0.0.1:0", set).expect("bind loopback");
@@ -215,85 +214,19 @@ fn concurrent_quoters_never_see_a_stale_price_over_tcp() {
     server.shutdown();
 }
 
-/// The in-process stress case above, ported to a bounded `qp-verify`
-/// model: the same epoch-encoded-in-price trick, the same
-/// quote-cache/repricer choreography as `ShardSet::quote` +
-/// `Broker::apply_delta`, but with the scheduler *enumerating*
-/// interleavings rather than sampling them. The stress test covers depth
-/// (hundreds of repricings against the real stack); this covers breadth
-/// (every schedule the budget reaches, ≥ 1,000 of them).
+/// The in-process stress case above as a bounded `qp-verify` model: the
+/// catalog's `no-stale-quote` model (one pricing and its epoch, two shard
+/// caches, the same epoch-encoded-in-price trick) with the scheduler
+/// *enumerating* interleavings rather than sampling them. The stress test
+/// covers depth (hundreds of repricings against the real stack); this
+/// covers breadth (every schedule the budget reaches, ≥ 1,000 of them).
 #[test]
 fn no_stale_quote_holds_under_exhaustive_interleaving() {
-    use qp_verify::sync::{
-        AtomicU64 as ModelAtomicU64, Mutex as ModelMutex, RwLock as ModelRwLock,
-    };
-    use qp_verify::{explore, Config};
-
-    const MODEL_BASE: u64 = 10_000;
-
-    let report = explore(&Config::with_max_schedules(1_500), || {
-        // Pricing state: the price encodes the epoch (price - BASE ==
-        // epoch), mirroring the stress tests' consistency equation.
-        let pricing = Arc::new(ModelRwLock::new(MODEL_BASE));
-        let epoch = Arc::new(ModelAtomicU64::new(0));
-        // One cache slot, like one ShardSet cache entry: (price, epoch).
-        let cache = Arc::new(ModelMutex::new(None::<(u64, u64)>));
-
-        let mut handles = Vec::new();
-        {
-            // The repricer: apply_delta's discipline — price moves and
-            // epoch bump both inside the write-lock critical section.
-            let pricing = Arc::clone(&pricing);
-            let epoch = Arc::clone(&epoch);
-            handles.push(qp_verify::thread::spawn(move || {
-                for _ in 0..2 {
-                    let mut p = pricing.write();
-                    *p += 1;
-                    epoch.fetch_add(1, Ordering::SeqCst);
-                }
-            }));
-        }
-        for _ in 0..2 {
-            // Quoters: ShardSet::quote's discipline — serve a cached pair
-            // only when its tag matches the epoch observed at request
-            // start; fill misses from a versioned_price-style snapshot
-            // (epoch read under the read lock), keeping the newest epoch.
-            let pricing = Arc::clone(&pricing);
-            let epoch = Arc::clone(&epoch);
-            let cache = Arc::clone(&cache);
-            handles.push(qp_verify::thread::spawn(move || {
-                for _ in 0..2 {
-                    let seen = epoch.load(Ordering::SeqCst);
-                    let hit = match *cache.lock() {
-                        Some((p, e)) if e == seen => Some((p, e)),
-                        _ => None,
-                    };
-                    let (price, at) = match hit {
-                        Some(pair) => pair,
-                        None => {
-                            let snap = {
-                                let p = pricing.read();
-                                (*p, epoch.load(Ordering::SeqCst))
-                            };
-                            let mut c = cache.lock();
-                            if c.is_none_or(|(_, e)| e < snap.1) {
-                                *c = Some(snap);
-                            }
-                            snap
-                        }
-                    };
-                    assert!(
-                        price == MODEL_BASE + at,
-                        "stale quote: price {price} tagged epoch {at}"
-                    );
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("model thread");
-        }
-    });
-
+    let model = qp_verify::models::catalog()
+        .into_iter()
+        .find(|m| m.name == "no-stale-quote")
+        .expect("the catalog holds the no-stale-quote model");
+    let report = model.check(&qp_verify::Config::with_max_schedules(1_500));
     assert!(
         report.failure.is_none(),
         "no-stale-quote violated: {}",

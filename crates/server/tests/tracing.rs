@@ -56,11 +56,8 @@ fn traced_settles_stitch_across_the_wire() {
     // Threshold 0: every root span becomes an exemplar on both sides.
     let server_sink = TelemetrySink::enabled();
     server_sink.set_slow_threshold(Duration::ZERO);
-    let set = ShardSet::new(vec![
-        tiny_broker(server_sink.clone()),
-        tiny_broker(server_sink.clone()),
-    ])
-    .with_telemetry(server_sink.clone());
+    let set = ShardSet::new(vec![tiny_broker(server_sink.clone()); 2])
+        .with_telemetry(server_sink.clone());
     let mut server = QuoteServer::bind("127.0.0.1:0", set).expect("bind loopback");
     let mut client = QuoteClient::connect(server.local_addr()).expect("connect");
 

@@ -14,8 +14,9 @@
 //!   on any thread (or a deadlock) stops exploration and is reported with
 //!   the exact schedule, which `replay` re-executes deterministically.
 //! * [`models`] — the repo-specific invariants rewritten as small checked
-//!   models (no-stale-quote epoch protocol, reader-writer atomicity, the
-//!   `qp_core::parallel` claim loop, pending-table bounds), each
+//!   models (no-stale-quote: one pricing epoch behind two shard caches,
+//!   reader-writer atomicity, the `qp_core::parallel` claim loop,
+//!   pending-table bounds), each
 //!   paired with a seeded-bug variant proving the checker actually catches
 //!   the corresponding protocol violation.
 //!

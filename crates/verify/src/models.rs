@@ -10,7 +10,7 @@
 //!
 //! | model | production counterpart |
 //! |---|---|
-//! | `no-stale-quote` | `Broker::set_pricing` epoch bump vs `ShardSet::quote` cache serve (PR 5) |
+//! | `no-stale-quote` | `ShardSet::apply_patch` (one pricing's epoch bump, then every shard cache cleared) vs `ShardSet::quote` serving from the bundle's shard cache |
 //! | `rw-atomicity` | `set_pricing` vs `quote_batch` reader-writer atomicity |
 //! | `claim-loop` | `qp_core::parallel::claim`: the caller claiming from the front and spawned workers from the back of one `Mutex<Range<usize>>` (conflict sets, `qp-sim` settles, LPIP's thresholds) |
 //! | `pending-bounds` | pending-quote table capacity eviction in `ShardSet` |
@@ -28,19 +28,20 @@ use std::sync::Arc;
 /// `crates/server/tests/epoch_races.rs`.
 const BASE: u64 = 10_000;
 
-/// The no-stale-quote protocol from PR 5: a repricer updates pricing under
-/// the write lock and bumps the monotone epoch *inside* that critical
-/// section; quoters serve from a per-bundle cache only when the cached
-/// entry's epoch equals the epoch they observed at request start, filling
-/// misses from an atomically-consistent `(price, epoch)` snapshot taken
-/// under the read lock.
+/// The no-stale-quote protocol of `ShardSet`: one pricing behind a
+/// `RwLock` plus its epoch, and two shard caches with one slot each, bundle
+/// `b` routed to cache `b mod 2`. The repricer updates the pricing under the
+/// write lock, bumps the epoch *inside* that critical section, and then
+/// clears both caches. Quoters serve from their bundle's cache only when
+/// the cached entry's epoch equals the epoch they observed at request
+/// start, filling misses from an atomically-consistent `(price, epoch)`
+/// snapshot taken under the read lock.
 ///
 /// Invariant: every served pair satisfies `price == BASE + epoch`.
 ///
 /// With `bug_epoch_outside_lock`, the repricer bumps the epoch *before*
-/// taking the write lock — the intentionally seeded PR 6 bug. A quoter
-/// scheduled between bump and price-write then snapshots
-/// `(old price, new epoch)` and serves a stale quote.
+/// taking the write lock. A quoter scheduled between bump and price-write
+/// then snapshots `(old price, new epoch)` and serves a stale quote.
 fn no_stale_quote(
     quoters: usize,
     quotes_per: usize,
@@ -50,11 +51,12 @@ fn no_stale_quote(
     move || {
         let pricing = Arc::new(RwLock::new(BASE));
         let epoch = Arc::new(AtomicU64::new(0));
-        let cache = Arc::new(Mutex::new(None::<(u64, u64)>));
+        let caches = Arc::new([Mutex::new(None::<(u64, u64)>), Mutex::new(None)]);
         let mut handles = Vec::new();
         {
             let pricing = Arc::clone(&pricing);
             let epoch = Arc::clone(&epoch);
+            let caches = Arc::clone(&caches);
             handles.push(thread::spawn(move || {
                 for _ in 0..repricings {
                     if bug_epoch_outside_lock {
@@ -66,15 +68,20 @@ fn no_stale_quote(
                         *p += 1;
                         epoch.fetch_add(1, Ordering::SeqCst);
                     }
+                    // The bump stranded every cached entry: drop them.
+                    for cache in caches.iter() {
+                        *cache.lock() = None;
+                    }
                 }
             }));
         }
-        for _ in 0..quoters {
+        for t in 0..quoters {
             let pricing = Arc::clone(&pricing);
             let epoch = Arc::clone(&epoch);
-            let cache = Arc::clone(&cache);
+            let caches = Arc::clone(&caches);
             handles.push(thread::spawn(move || {
-                for _ in 0..quotes_per {
+                for bundle in t..t + quotes_per {
+                    let cache = &caches[bundle % 2];
                     let seen = epoch.load(Ordering::SeqCst);
                     let hit = match *cache.lock() {
                         Some((p, e)) if e == seen => Some((p, e)),
@@ -323,7 +330,7 @@ pub fn catalog() -> Vec<ModelSpec> {
     vec![
         ModelSpec {
             name: "no-stale-quote",
-            about: "epoch bump under write lock vs cached-quote serve (PR 5 protocol)",
+            about: "one pricing's epoch bump under its write lock, then both shard caches cleared, vs cached-quote serve",
             expect_failure: false,
             build: || Box::new(no_stale_quote(2, 2, 2, false)),
         },

@@ -28,8 +28,8 @@
 //!   `shifting_demand`, `arbitrage_probe`).
 //! * [`server`] — the sharded TCP quote-serving front-end: a
 //!   length-prefixed binary protocol (`QUOTE`/`PURCHASE`/`STATS`/
-//!   `REPRICE`, see `PROTOCOL.md`), broker replicas routed by bundle hash,
-//!   per-shard quote caches invalidated by the broker's pricing epoch, and
+//!   `REPRICE`, see `PROTOCOL.md`), one broker behind `k` quote caches
+//!   routed by bundle hash and invalidated by the broker's pricing epoch, and
 //!   the `loadgen`/`serve` binaries.
 //!
 //! ## Quickstart
