@@ -269,8 +269,9 @@ impl AlgoConfig {
     }
 }
 
-/// Runs the registry's six paper algorithms (plus the sum-of-valuations and
-/// subadditive bounds) on a hypergraph whose valuations are already set.
+/// Runs the registry's six paper algorithms on a hypergraph whose
+/// valuations are already set, and computes the sum of valuations and the
+/// sell-all subadditive bound (see [`bounds`]).
 ///
 /// As in the paper's setup, XOS reuses the LPIP and CIP price vectors already
 /// computed in the same run instead of solving both LPs again — the
@@ -278,7 +279,7 @@ impl AlgoConfig {
 /// and evaluating the max, not a second LPIP + CIP solve.
 pub fn run_all_algorithms(h: &Hypergraph, cfg: &AlgoConfig) -> (Vec<AlgorithmRun>, f64, f64) {
     let sum = bounds::sum_of_valuations(h);
-    let subadd = bounds::subadditive_bound(h, &Default::default());
+    let sell_all = bounds::sell_all_subadditive_bound(h, &Default::default());
 
     let mut runs = Vec::new();
     for algo in cfg.algorithms() {
@@ -293,7 +294,7 @@ pub fn run_all_algorithms(h: &Hypergraph, cfg: &AlgoConfig) -> (Vec<AlgorithmRun
         });
     }
 
-    (runs, sum, subadd)
+    (runs, sum, sell_all)
 }
 
 /// Convenience: sets valuations, runs all algorithms, and returns the rows.
@@ -308,14 +309,31 @@ pub fn run_with_model(
     run_all_algorithms(&h, cfg)
 }
 
-/// Prints one figure panel: a header, the subadditive bound, then the
-/// normalized revenue of every algorithm (the same series the paper plots).
-pub fn print_panel(title: &str, runs: &[AlgorithmRun], sum: f64, subadditive: f64) {
+/// Prints one figure panel: a header, the sum of valuations (the revenue
+/// upper bound every revenue is normalized by), the sell-all subadditive
+/// bound, then the normalized revenue of every algorithm (the same series
+/// the paper plots).
+///
+/// # Panics
+/// Panics if a revenue exceeds the sum of valuations, the one value the
+/// panel calls an upper bound. The sell-all bound is not one: revenues may
+/// exceed it (see [`bounds`]).
+pub fn print_panel(title: &str, runs: &[AlgorithmRun], sum: f64, sell_all: f64) {
+    for r in runs {
+        // The revenue and the sum add the same valuations in different
+        // orders, so allow their rounding.
+        assert!(
+            r.revenue <= sum * (1.0 + 1e-9),
+            "{title}: {} earns {} above the sum of valuations {sum}",
+            r.name,
+            r.revenue
+        );
+    }
     println!("\n== {title} ==");
-    println!("  sum of valuations            : {sum:.2}");
+    println!("  sum of valuations (upper bound)        : {sum:.2}");
     println!(
-        "  subadditive bound (normalized): {:.3}",
-        if sum > 0.0 { subadditive / sum } else { 0.0 }
+        "  sell-all subadditive bound (normalized): {:.3}",
+        if sum > 0.0 { sell_all / sum } else { 0.0 }
     );
     for r in runs {
         println!(

@@ -1,13 +1,14 @@
 //! # qp-lp — a small, dependency-free linear-programming solver
 //!
 //! The pricing algorithms of Chawla et al. (VLDB 2019) — `LPIP`, `CIP`, the
-//! subadditive revenue upper bound and the UBP refinement step — all reduce to
+//! sell-all subadditive bound and the UBP refinement step — all reduce to
 //! moderately sized linear programs. The paper used CVXPY; this crate provides
 //! the equivalent substrate in pure Rust: a **two-phase primal simplex**
 //! solver over a row-major tableau that returns both the primal solution and
-//! the dual values of every constraint. Each pivot eliminates only over the
-//! pivot row's non-zero columns (the reduced-cost row stays dense), which
-//! gives the same bits as the dense solver kept in [`mod@reference`]; the
+//! the dual values of every constraint. The tableau stores only the
+//! non-basic columns, and each pivot eliminates only over the pivot row's
+//! non-zero columns (the reduced-cost row stays dense), which gives the
+//! same bits as the dense solver kept in [`mod@reference`]; the
 //! full-width row passes run AVX2-compiled on CPUs that have it, again
 //! with the same bits. A [`SimplexWorkspace`] owns the solver's buffers,
 //! so a sweep of related LPs ([`LpProblem::solve_with`]) reuses one

@@ -1,23 +1,71 @@
-//! Two-phase primal simplex with sparse elimination.
+//! Two-phase primal simplex over the non-basic columns of the tableau.
 //!
-//! The implementation keeps the full tableau in row-major `f64` storage and
-//! maintains the reduced-cost row incrementally. Phase 1 maximizes the
-//! negated sum of artificial variables; phase 2 optimizes the user objective.
-//! Dantzig pricing is used by default with a switch to Bland's rule after a
-//! pivot budget is exceeded, which guarantees termination.
+//! Phase 1 maximizes the negated sum of artificial variables; phase 2
+//! optimizes the user objective. Dantzig pricing is used by default with a
+//! switch to Bland's rule after a pivot budget is exceeded, which
+//! guarantees termination. Every pivot, every floating-point operation and
+//! every result bit is the dense solver's kept in [`crate::reference`].
 //!
-//! A pivot updates the other rows only at the non-zero columns of the
+//! # Storage
+//!
+//! In a dense tableau each of the `m` basic columns is a unit column: `1.0`
+//! in the row it is basic in and a zero in every other row. Those entries
+//! are fixed by the basis, so the tableau stores only the `cols − m`
+//! non-basic columns: `m` row-major rows of `cols − m + 1` entries, the
+//! last one the right-hand side. A row's entries are in *slot* order:
+//! `col_of[slot]` is the column a slot holds and `slot_of[col]` the slot of
+//! a column, [`NONE`] for a basic one. The reduced-cost row is kept in slot
+//! order too.
+//!
+//! A pivot on `(r, c)` whose leaving column is `b = basis[r]` computes the
+//! dense pivot's entries. It scales row `r` by `inv = 1/piv`, which turns
+//! `b`'s `1.0` into `inv`, and writes `inv` into `c`'s slot. In every
+//! other row it first writes the zero the dense tableau holds at `b` into
+//! that slot, then eliminates as the dense pivot does, which leaves
+//! `z − f·inv` there (or `z` where the factor `f` is skipped). The
+//! reduced-cost row does the same. Then `b` takes over `c`'s slot. The
+//! entering column's entries, `1.0` in row `r` and the `+0.0` the dense
+//! pivot writes everywhere else, are implicit. Pricing scans the slots and
+//! breaks ties on the column index, so it picks the column the dense scan
+//! picks.
+//!
+//! # Zero signs
+//!
+//! The zeros of a basic column are signed, and a sign can reach a result:
+//! when the column leaves the basis its zeros become stored entries, and
+//! a dual reads the reduced cost of a row's logical column, basic or not.
+//! So the tableau keeps one bit per (row, basic column), indexed by the
+//! row the column is basic in: set where the dense tableau holds `-0.0`.
+//! The reduced-cost row has such a row of bits as well. Bits change only
+//! as the dense zeros do:
+//!
+//! * scaling a row by a negative `inv` flips every zero's sign;
+//! * `x − f·(±0.0)` is `-0.0` only for `x = -0.0` and `f·(±0.0) = +0.0`,
+//!   so an eliminated row keeps a bit only where the pivot row's zero has
+//!   the sign of `f`: `bits &= if f < 0 { pivot } else { !pivot }`;
+//! * the entering column's bit is cleared in every row (the dense pivot
+//!   writes `+0.0` there).
+//!
+//! A basic column's reduced cost starts as `+0.0` (phase 1 starts with
+//! every row active, and rebuilding the objective sets the active rows'
+//! basic costs to `+0.0`), and `+0.0 − (±0.0)` is `+0.0`. Only the
+//! artificial column left basic in a row phase 1 dropped can carry a
+//! `-0.0`, and rebuilding the objective computes its sign.
+//!
+//! # Sparse elimination
+//!
+//! A pivot updates the other rows only at the non-zero slots of the
 //! normalized pivot row: subtracting `factor * ±0.0` leaves every entry as
 //! it is, except that a `-0.0` can turn into `+0.0`. So the rows that may
-//! hold a `-0.0` (a right-hand side given as `-0.0`, a row normalized by a
-//! negative pivot) and the reduced-cost row, whose zero costs are `-0.0`,
-//! are still updated over their full width. The tableau therefore stays
-//! bit-identical to the dense solver's kept in [`crate::reference`], and
-//! so do the results, duals included. Collecting the non-zero columns
-//! costs a pass over the pivot row, so a pivot collects them only once it
-//! has updated `SPARSE_AFTER` rows, and uses them only when at most a
-//! quarter of the columns are non-zero; otherwise the vectorized
-//! full-width update is faster.
+//! hold a `-0.0`, in a slot or a bit (a right-hand side given as `-0.0`, a
+//! row normalized by a negative pivot), and the reduced-cost row, whose
+//! zero costs are `-0.0`, are still updated over their full width, bits
+//! included. A row without the flag holds no `-0.0` at all: its bits are
+//! zero and stay so. Collecting the non-zero slots costs a pass over the
+//! pivot row, so a pivot collects them only once it has updated
+//! `SPARSE_AFTER` rows, and uses them only when at most a quarter of the
+//! slots are non-zero; otherwise the vectorized full-width update is
+//! faster.
 //!
 //! The full-width passes, normalizing the pivot row and `x -= f·p` over a
 //! row, run through [`crate::kernel`]. A solve or sweep detects once
@@ -26,9 +74,8 @@
 //! The two differ only in vector width: neither uses FMA (Rust never
 //! fuses a multiply and a subtract), and SSE2 and AVX2 share the MXCSR
 //! rounding and denormal modes, so each element gets the same multiply and
-//! then the same subtract on either path. The tableau, and with it every
-//! primal, dual and revenue bit, is the same. [`crate::reference`] keeps
-//! its own scalar loops, so it stays an independent oracle.
+//! then the same subtract on either path. [`crate::reference`] keeps its
+//! own scalar loops, so it stays an independent oracle.
 //!
 //! Every buffer the solver touches lives in a [`SimplexWorkspace`], so a
 //! sweep of LPs (LPIP's thresholds, CIP's capacities) pays for its tableau
@@ -36,7 +83,7 @@
 //! are allocated per solve.
 //!
 //! [`sweep`] solves one constraint set under many objectives. Phase 1 never
-//! reads the objective, so it runs once; the artificial columns are then
+//! reads the objective, so it runs once; the artificial slots are then
 //! compacted out of the tableau, the post-phase-1 state is kept as a sparse
 //! snapshot, and each objective restores the snapshot and runs phase 2.
 
@@ -56,15 +103,15 @@ struct RowInfo {
     negated: bool,
     /// Whether the row is still active (phase 1 may drop redundant rows).
     active: bool,
-    /// Whether the row may hold a `-0.0`. Such a row is eliminated over its
-    /// full width (see the module docs); every other row holds none. Once
-    /// set, the flag stays set.
+    /// Whether the row may hold a `-0.0`, in a slot or a zero-sign bit.
+    /// Such a row is eliminated over its full width (see the module docs);
+    /// every other row holds none. Once set, the flag stays set.
     neg_zero: bool,
 }
 
 /// Rows a pivot updates over their full width before it collects the pivot
-/// row's non-zero columns. LPIP's pivots mostly update fewer rows than
-/// this; CIP's update tens to hundreds.
+/// row's non-zero slots. LPIP's pivots mostly update fewer rows than this;
+/// CIP's update tens to hundreds.
 const SPARSE_AFTER: usize = 4;
 
 /// A pivot row with more than `1 / DENSE_DIV` of its entries non-zero is
@@ -75,9 +122,12 @@ const DENSE_DIV: usize = 4;
 /// The bits of `-0.0`.
 const NEG_ZERO: u64 = 1 << 63;
 
+/// The `slot_of` entry of a basic column.
+const NONE: u32 = u32::MAX;
+
 /// Reusable buffers of the simplex solver: the tableau with its
-/// reduced-cost row, pivot-row copy and basis bookkeeping, and the phase
-/// cost vector.
+/// reduced-cost row, pivot-row copy, slot map, zero signs and basis
+/// bookkeeping, and the phase cost vector.
 ///
 /// Solving through one workspace ([`LpProblem::solve_with`]) returns
 /// exactly the solution a fresh [`LpProblem::solve`] returns — same pivots,
@@ -98,30 +148,37 @@ impl SimplexWorkspace {
         SimplexWorkspace::default()
     }
 
-    /// Grows the buffers to hold the tableau of a problem with `rows`
-    /// constraints and `cols` columns (its variables plus one slack or
-    /// surplus column per `≤`/`≥` row and one artificial column per `≥`/`=`
-    /// row), so a [`LpProblem::solve_with`] up to that size allocates
-    /// nothing but its result vectors.
+    /// Grows the buffers to hold the tableau of a problem with at most
+    /// `rows` constraints and `cols` columns (its variables plus one slack
+    /// or surplus column per `≤`/`≥` row and one artificial column per
+    /// `≥`/`=` row), so a [`LpProblem::solve_with`] up to that size
+    /// allocates nothing but its result vectors.
     pub fn reserve(&mut self, rows: usize, cols: usize) {
         let w = cols + 1;
+        // An LP of `r ≤ rows` rows stores at most `w − r` entries per row
+        // (every row has a basic column), and `r·(w − r)` peaks at `w / 2`.
+        let r = rows.min(w / 2);
         let t = &mut self.t;
-        reserve_total(&mut t.a, rows * w);
+        reserve_total(&mut t.a, r * (w - r));
         reserve_total(&mut t.obj, w);
         reserve_total(&mut t.pivot_row, w);
         reserve_total(&mut t.nz, w);
+        reserve_total(&mut t.col_of, cols);
+        reserve_total(&mut t.slot_of, cols);
+        reserve_total(&mut t.zero_signs, (rows + 1) * words(rows));
+        reserve_total(&mut t.pivot_signs, words(rows));
         reserve_total(&mut t.basis, rows);
         reserve_total(&mut t.rows, rows);
         reserve_total(&mut self.cost, cols);
     }
 }
 
-/// Simplex tableau.
+/// Simplex tableau over the non-basic columns (see the module docs).
 #[derive(Debug, Default)]
 struct Tableau {
     /// Number of rows (constraints).
     m: usize,
-    /// Total number of columns excluding the RHS.
+    /// Total number of columns excluding the RHS, basic ones included.
     cols: usize,
     /// Number of structural (user) variables.
     n_struct: usize,
@@ -130,17 +187,27 @@ struct Tableau {
     /// Pivot count after which [`iterate`] switches to Bland's rule. Fixed
     /// by the tableau as built; compacting the artificials out leaves it be.
     bland_threshold: usize,
-    /// Row-major matrix of size `m x (cols + 1)`; the last entry of each row
-    /// is the right-hand side.
+    /// Row-major matrix of size `m x (slots + 1)`; the last entry of each
+    /// row is the right-hand side.
     a: Vec<f64>,
-    /// Reduced-cost row of size `cols + 1` (last entry is the negated
+    /// Reduced-cost row of size `slots + 1` (last entry is the negated
     /// objective value of the current basis).
     obj: Vec<f64>,
-    /// Scratch copy of the pivot row, size `cols + 1`.
+    /// Scratch copy of the pivot row, size `slots + 1`.
     pivot_row: Vec<f64>,
-    /// Columns of the non-zero entries of `pivot_row`, RHS included; only
+    /// Slots of the non-zero entries of `pivot_row`, RHS included; only
     /// a prefix is live after each pivot.
     nz: Vec<u32>,
+    /// The column each slot holds.
+    col_of: Vec<u32>,
+    /// The slot of each column, [`NONE`] for a basic one.
+    slot_of: Vec<u32>,
+    /// `m + 1` rows of [`words`]`(m)` words: bit `k` of row `r` is set
+    /// where the dense tableau holds `-0.0` at row `r` of the column basic
+    /// in row `k`. Row `m` is the reduced-cost row's.
+    zero_signs: Vec<u64>,
+    /// Scratch copy of the pivot row's zero signs.
+    pivot_signs: Vec<u64>,
     /// Basic variable (column index) of each row.
     basis: Vec<usize>,
     /// Per-row normalization info.
@@ -149,39 +216,85 @@ struct Tableau {
     isa: Isa,
 }
 
+/// Words of one row of zero-sign bits in an `m`-row tableau.
+fn words(m: usize) -> usize {
+    m.div_ceil(64)
+}
+
+/// The bits of a zero-sign row's last word that stand for rows.
+fn tail_mask(m: usize) -> u64 {
+    match m % 64 {
+        0 => u64::MAX,
+        k => (1 << k) - 1,
+    }
+}
+
+/// `x − f·p` at every basic column of a row updated by a pivot row whose
+/// zero signs are `pivot`: see the module docs.
+fn eliminate_signs(signs: &mut [u64], pivot: &[u64], factor: f64) {
+    if factor < 0.0 {
+        signs.iter_mut().zip(pivot).for_each(|(s, &p)| *s &= p);
+    } else {
+        signs.iter_mut().zip(pivot).for_each(|(s, &p)| *s &= !p);
+    }
+}
+
 impl Tableau {
+    /// Entries per row: the slots plus the right-hand side.
     #[inline]
-    fn at(&self, r: usize, c: usize) -> f64 {
-        self.a[r * (self.cols + 1) + c]
+    fn width(&self) -> usize {
+        self.col_of.len() + 1
+    }
+
+    #[inline]
+    fn at(&self, r: usize, slot: usize) -> f64 {
+        self.a[r * self.width() + slot]
     }
 
     #[inline]
     fn rhs(&self, r: usize) -> f64 {
-        self.a[r * (self.cols + 1) + self.cols]
+        let w = self.width();
+        self.a[r * w + w - 1]
     }
 
     /// Performs a pivot on `(pivot_row, pivot_col)`, updating all rows and
     /// the reduced-cost row.
     fn pivot(&mut self, pivot_row: usize, pivot_col: usize) {
-        let w = self.cols + 1;
+        let w = self.width();
+        let words = words(self.m);
+        let slot = self.slot_of[pivot_col] as usize;
+        let leaving = self.basis[pivot_row];
         let pr_start = pivot_row * w;
-        let piv = self.a[pr_start + pivot_col];
+        let piv = self.a[pr_start + slot];
         debug_assert!(piv.abs() > EPS, "pivot element too small");
 
-        // Normalize the pivot row.
+        // Normalize the pivot row; the leaving column's `1.0` becomes `inv`.
         let inv = 1.0 / piv;
         self.isa.scale(&mut self.a[pr_start..pr_start + w], inv);
-        self.a[pr_start + pivot_col] = 1.0;
+        self.a[pr_start + slot] = inv;
 
         // Split borrows by copying the pivot row once; the copy is reused
         // for the objective row as well.
         self.pivot_row
             .copy_from_slice(&self.a[pr_start..pr_start + w]);
         let pivot = &self.pivot_row[..];
+        // Bit `pivot_row` stands for the entering column from here on:
+        // `1.0` in the pivot row, `+0.0` in every other.
+        let (word, bit) = (pivot_row / 64, 1u64 << (pivot_row % 64));
+        let signs = &mut self.zero_signs[pivot_row * words..(pivot_row + 1) * words];
+        if inv < 0.0 {
+            signs.iter_mut().for_each(|s| *s = !*s);
+            signs[words - 1] &= tail_mask(self.m);
+        }
+        signs[word] &= !bit;
+        self.pivot_signs.copy_from_slice(signs);
         // A row without a `-0.0` gains one only from a negative pivot
         // (`+0.0 * inv`) or from a pivot above 1 underflowing a tiny
         // negative entry; `inv >= 1` rules out both.
-        if inv < 1.0 && pivot.iter().any(|x| x.to_bits() == NEG_ZERO) {
+        if inv < 1.0
+            && (self.pivot_signs.iter().any(|&s| s != 0)
+                || pivot.iter().any(|x| x.to_bits() == NEG_ZERO))
+        {
             self.rows[pivot_row].neg_zero = true;
         }
 
@@ -193,9 +306,19 @@ impl Tableau {
                 continue;
             }
             let row = &mut self.a[r * w..(r + 1) * w];
-            let factor = row[pivot_col];
+            let factor = row[slot];
+            let neg_zero = self.rows[r].neg_zero;
+            // The slot now holds the leaving column: the zero the dense
+            // tableau holds there, before elimination.
+            row[slot] = 0.0;
+            if neg_zero {
+                let signs = &mut self.zero_signs[r * words..(r + 1) * words];
+                if signs[word] & bit != 0 {
+                    row[slot] = -0.0;
+                }
+                signs[word] &= !bit;
+            }
             if factor.abs() <= EPS {
-                row[pivot_col] = 0.0;
                 continue;
             }
             updated += 1;
@@ -203,7 +326,11 @@ impl Tableau {
                 len = collect_nonzeros(pivot, &mut self.nz);
                 sparse = len * DENSE_DIV <= w;
             }
-            if sparse && !self.rows[r].neg_zero {
+            if neg_zero {
+                self.isa.eliminate(row, pivot, factor);
+                let signs = &mut self.zero_signs[r * words..(r + 1) * words];
+                eliminate_signs(signs, &self.pivot_signs, factor);
+            } else if sparse {
                 for &j in &self.nz[..len] {
                     let j = j as usize;
                     row[j] -= factor * pivot[j];
@@ -211,28 +338,35 @@ impl Tableau {
             } else {
                 self.isa.eliminate(row, pivot, factor);
             }
-            row[pivot_col] = 0.0;
         }
-        // The reduced-cost row stays dense (its zero costs are `-0.0`).
-        let factor = self.obj[pivot_col];
+        // The reduced-cost row is always updated densely (its zero costs
+        // are `-0.0`), bits included.
+        let factor = self.obj[slot];
+        let signs = &mut self.zero_signs[self.m * words..];
+        self.obj[slot] = if signs[word] & bit != 0 { -0.0 } else { 0.0 };
+        signs[word] &= !bit;
         if factor.abs() > EPS {
             self.isa.eliminate(&mut self.obj, pivot, factor);
+            eliminate_signs(signs, &self.pivot_signs, factor);
         }
-        self.obj[pivot_col] = 0.0;
 
+        self.col_of[slot] = leaving as u32;
+        self.slot_of[leaving] = slot as u32;
+        self.slot_of[pivot_col] = NONE;
         self.basis[pivot_row] = pivot_col;
     }
 
     /// Recomputes the reduced-cost row `obj[j] = c_B·(tableau col j) − c[j]`
     /// for the cost vector `c` (indexed over all columns; missing entries are
-    /// treated as zero).
+    /// treated as zero), and the zero signs of the basic columns' costs.
     fn rebuild_objective(&mut self, c: &[f64]) {
-        let w = self.cols + 1;
-        self.obj.fill(0.0);
+        let w = self.width();
+        let neg_cost = |j: usize| c.get(j).map_or(0.0, |&cj| -cj);
         // obj = -c, then add c_B * row_i for every basic row.
-        for (j, &cj) in c.iter().enumerate() {
-            self.obj[j] = -cj;
+        for (o, &j) in self.obj.iter_mut().zip(&self.col_of) {
+            *o = neg_cost(j as usize);
         }
+        self.obj[w - 1] = 0.0;
         for r in 0..self.m {
             if !self.rows[r].active {
                 continue;
@@ -247,44 +381,67 @@ impl Tableau {
                 *o += cb * x;
             }
         }
-        // Reduced costs of basic columns are exactly zero.
-        for r in 0..self.m {
-            if self.rows[r].active {
-                self.obj[self.basis[r]] = 0.0;
+        // The dense solver sets the reduced costs of the active rows'
+        // basic columns to `+0.0`. A dropped row's basic column is an
+        // artificial, whose cost is zero in phase 2 (and no row is dropped
+        // before), so its reduced cost is a sum of zeros, whose sign the
+        // bits give.
+        let (m, words) = (self.m, words(self.m));
+        let (signs, obj_signs) = self.zero_signs.split_at_mut(m * words);
+        obj_signs.fill(0);
+        for k in (0..m).filter(|&k| !self.rows[k].active) {
+            let mut v = neg_cost(self.basis[k]);
+            for r in (0..m).filter(|&r| self.rows[r].active) {
+                let cb = c.get(self.basis[r]).copied().unwrap_or(0.0);
+                // float-eq: as above.
+                if cb == 0.0 {
+                    continue;
+                }
+                let negative = signs[r * words + k / 64] >> (k % 64) & 1 != 0;
+                v += cb * if negative { -0.0 } else { 0.0 };
+            }
+            // float-eq: a sum of zeros is a zero of either sign.
+            debug_assert!(v == 0.0, "a basic column's reduced cost is a zero");
+            if v.to_bits() == NEG_ZERO {
+                obj_signs[k / 64] |= 1 << (k % 64);
             }
         }
     }
 
     /// Chooses an entering column among `allowed` (columns `< limit`), or
     /// `None` if the current basis is optimal. `bland` selects the smallest
-    /// eligible index instead of the most negative reduced cost.
+    /// eligible index instead of the most negative reduced cost; ties on
+    /// the most negative one go to the smallest index too. Basic columns
+    /// have zero reduced costs, so only the slots are scanned.
     fn choose_entering(&self, limit: usize, bland: bool) -> Option<usize> {
-        if bland {
-            (0..limit).find(|&j| self.obj[j] < -EPS)
-        } else {
-            let mut best = None;
-            let mut best_val = -EPS;
-            for j in 0..limit {
-                let v = self.obj[j];
-                if v < best_val {
-                    best_val = v;
-                    best = Some(j);
+        let mut best = usize::MAX;
+        let mut best_val = -EPS;
+        for (&v, &j) in self.obj.iter().zip(&self.col_of) {
+            let j = j as usize;
+            if bland {
+                if v < -EPS && j < best.min(limit) {
+                    best = j;
                 }
+            // An exact tie keeps the lower column, as the dense scan does.
+            } else if v <= best_val && j < limit && v < -EPS && (v < best_val || j < best) {
+                best_val = v;
+                best = j;
             }
-            best
         }
+        (best != usize::MAX).then_some(best)
     }
 
     /// Ratio test: chooses the leaving row for entering column `col`.
     /// Returns `None` if the column is unbounded (no positive entries).
     fn choose_leaving(&self, col: usize) -> Option<usize> {
+        let slot = self.slot_of[col] as usize;
         let mut best_row = None;
         let mut best_ratio = f64::INFINITY;
         for r in 0..self.m {
             if !self.rows[r].active {
                 continue;
             }
-            let a = self.at(r, col);
+            let a = self.at(r, slot);
             if a > EPS {
                 let ratio = self.rhs(r) / a;
                 // Tie-break on the smallest basic variable index; together
@@ -303,23 +460,42 @@ impl Tableau {
         best_row
     }
 
-    /// Removes the artificial columns from every row in place and releases
+    /// Removes the artificial slots from every row in place and releases
     /// the freed memory. Phase 2 never reads them: artificials cannot
     /// re-enter, and each column's updates depend only on that column and
     /// the pivot column. Only the duals of `≥`/`=` rows read them, which is
-    /// why a sweep reports no duals.
+    /// why a sweep reports no duals. The zero signs stay as they are: the
+    /// bits of a dropped row's artificial column are never read again.
     fn compact(&mut self) {
-        let w = self.cols + 1;
+        let w = self.width();
         let keep = self.art_start;
-        let nw = keep + 1;
-        // Row r moves from `r * w` down to `r * nw`; rows are moved in
-        // increasing order, so no row is overwritten before it moves.
+        // The kept slots in slot order; `nz` is scratch between pivots.
+        let mut kept = 0;
+        for (s, &j) in self.col_of.iter().enumerate() {
+            if (j as usize) < keep {
+                self.nz[kept] = s as u32;
+                kept += 1;
+            }
+        }
+        let nw = kept + 1;
+        // Every entry moves to a lower or equal index, and the entries are
+        // moved in increasing order, so none is overwritten before it moves.
         for r in 0..self.m {
-            self.a.copy_within(r * w..r * w + keep, r * nw);
-            self.a[r * nw + keep] = self.a[r * w + self.cols];
+            for (i, &s) in self.nz[..kept].iter().enumerate() {
+                self.a[r * nw + i] = self.a[r * w + s as usize];
+            }
+            self.a[r * nw + kept] = self.a[r * w + w - 1];
         }
         self.a.truncate(self.m * nw);
         self.a.shrink_to_fit();
+        for i in 0..kept {
+            self.col_of[i] = self.col_of[self.nz[i] as usize];
+        }
+        self.col_of.truncate(kept);
+        self.slot_of.truncate(keep);
+        for (s, &j) in self.col_of.iter().enumerate() {
+            self.slot_of[j as usize] = s as u32;
+        }
         self.obj.truncate(nw);
         self.pivot_row.truncate(nw);
         self.nz.truncate(nw);
@@ -359,7 +535,10 @@ impl Tableau {
             if !row.active {
                 continue;
             }
-            let mut y = self.obj[row.logical_col];
+            let mut y = match self.slot_of[row.logical_col] {
+                NONE => self.basic_reduced_cost(row.logical_col),
+                slot => self.obj[slot as usize],
+            };
             if row.negated {
                 y = -y;
             }
@@ -368,13 +547,28 @@ impl Tableau {
         }
         dual
     }
+
+    /// The reduced cost of the basic column `col`: a zero, whose sign the
+    /// reduced-cost row's bits give.
+    fn basic_reduced_cost(&self, col: usize) -> f64 {
+        let signs = &self.zero_signs[self.m * words(self.m)..];
+        if signs.iter().all(|&s| s == 0) {
+            return 0.0;
+        }
+        let k = self.basis.iter().position(|&b| b == col);
+        match k {
+            Some(k) if signs[k / 64] >> (k % 64) & 1 != 0 => -0.0,
+            _ => 0.0,
+        }
+    }
 }
 
 /// The post-phase-1 state of a compacted tableau, kept sparsely so a sweep
 /// can restart phase 2 from it once per objective. Phase 2 changes only the
-/// tableau entries and the basis, so those are what it holds. (It never
-/// changes the rows' active flags, and only ever sets `neg_zero` flags; a
-/// needlessly set one costs a full-width update, never a different bit.)
+/// tableau entries, the slot map, the zero signs and the basis, so those
+/// are what it holds. (It never changes the rows' active flags, and only
+/// ever sets `neg_zero` flags; a needlessly set one costs a full-width
+/// update, never a different bit.)
 struct Snapshot {
     /// Flat tableau indices of the entries whose bits are not `+0.0`
     /// (a `-0.0` is kept, so a restore is bit-exact).
@@ -383,6 +577,12 @@ struct Snapshot {
     value: Vec<f64>,
     /// Basic variable of each row.
     basis: Vec<usize>,
+    /// The column of each slot.
+    col_of: Vec<u32>,
+    /// The slot of each column.
+    slot_of: Vec<u32>,
+    /// The zero signs of the basic columns.
+    zero_signs: Vec<u64>,
     /// Pivots phase 1 took.
     iterations: usize,
 }
@@ -405,6 +605,12 @@ impl Snapshot {
             value,
             // alloc: one snapshot per sweep.
             basis: t.basis.to_vec(),
+            // alloc: one snapshot per sweep.
+            col_of: t.col_of.to_vec(),
+            // alloc: one snapshot per sweep.
+            slot_of: t.slot_of.to_vec(),
+            // alloc: one snapshot per sweep.
+            zero_signs: t.zero_signs.to_vec(),
             iterations,
         }
     }
@@ -415,15 +621,18 @@ impl Snapshot {
             t.a[i as usize] = x;
         }
         t.basis.copy_from_slice(&self.basis);
+        t.col_of.copy_from_slice(&self.col_of);
+        t.slot_of.copy_from_slice(&self.slot_of);
+        t.zero_signs.copy_from_slice(&self.zero_signs);
     }
 }
 
-/// Writes the columns of `row`'s non-zero entries to the front of `nz`
-/// and returns their count.
+/// Writes the slots of `row`'s non-zero entries to the front of `nz` and
+/// returns their count.
 fn collect_nonzeros(row: &[f64], nz: &mut [u32]) -> usize {
     let nz = &mut nz[..row.len()];
     let mut len = 0;
-    // Branch-free: every column is written, the count advances past the
+    // Branch-free: every slot is written, the count advances past the
     // non-zero ones only.
     for (j, &x) in row.iter().enumerate() {
         nz[len] = j as u32;
@@ -440,7 +649,9 @@ fn refill<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
 }
 
 /// Builds the initial tableau of a validated problem in `t`'s buffers,
-/// overwriting whatever an earlier solve left there.
+/// overwriting whatever an earlier solve left there. The slack and
+/// artificial columns start basic, so the slots hold the structural
+/// columns and then the surplus columns of the `≥` rows.
 fn build_tableau(p: &LpProblem, t: &mut Tableau) {
     let m = p.num_constraints();
     let n = p.num_vars();
@@ -464,9 +675,13 @@ fn build_tableau(p: &LpProblem, t: &mut Tableau) {
     let slack_start = n;
     let art_start = n + n_slack;
     let cols = n + n_slack + n_art;
-    let w = cols + 1;
-    // Column indices (and flat indices in a sweep's snapshot) are u32.
-    assert!(u32::try_from(m * w).is_ok(), "tableau exceeds 2^32 entries");
+    let slots = cols - m;
+    let w = slots + 1;
+    // Slots, columns (and flat indices in a sweep's snapshot) are u32.
+    assert!(
+        u32::try_from(m * w).is_ok() && u32::try_from(cols).is_ok_and(|c| c < NONE),
+        "tableau exceeds 2^32 entries"
+    );
     t.m = m;
     t.cols = cols;
     t.n_struct = n;
@@ -478,6 +693,10 @@ fn build_tableau(p: &LpProblem, t: &mut Tableau) {
         obj,
         pivot_row,
         nz,
+        col_of,
+        slot_of,
+        zero_signs,
+        pivot_signs,
         basis,
         rows,
         ..
@@ -486,6 +705,13 @@ fn build_tableau(p: &LpProblem, t: &mut Tableau) {
     refill(obj, w, 0.0);
     refill(pivot_row, w, 0.0);
     refill(nz, w, 0);
+    col_of.clear();
+    col_of.extend(0..n as u32);
+    slot_of.clear();
+    slot_of.extend(0..n as u32);
+    slot_of.resize(cols, NONE);
+    refill(zero_signs, (m + 1) * words(m), 0);
+    refill(pivot_signs, words(m), 0);
     refill(basis, m, 0);
     rows.clear();
 
@@ -502,26 +728,26 @@ fn build_tableau(p: &LpProblem, t: &mut Tableau) {
         for &(j, v) in c.coeffs {
             a[start + j] += v * sign;
         }
-        a[start + cols] = rhs;
+        a[start + slots] = rhs;
 
         let logical_col;
         match op {
             ConstraintOp::Le => {
-                a[start + next_slack] = 1.0;
                 basis[i] = next_slack;
                 logical_col = next_slack;
                 next_slack += 1;
             }
             ConstraintOp::Ge => {
-                a[start + next_slack] = -1.0;
+                let slot = col_of.len();
+                a[start + slot] = -1.0;
+                slot_of[next_slack] = slot as u32;
+                col_of.push(next_slack as u32);
                 next_slack += 1;
-                a[start + next_art] = 1.0;
                 basis[i] = next_art;
                 logical_col = next_art;
                 next_art += 1;
             }
             ConstraintOp::Eq => {
-                a[start + next_art] = 1.0;
                 basis[i] = next_art;
                 logical_col = next_art;
                 next_art += 1;
@@ -609,18 +835,17 @@ fn phase1(t: &mut Tableau, cost: &mut Vec<f64>, max_iters: usize) -> Result<usiz
     }
 
     // Pivot remaining (zero-valued) artificials out of the basis where
-    // possible; rows that cannot be pivoted are redundant and dropped.
+    // possible; rows that cannot be pivoted are redundant and dropped. A
+    // basic column holds only zeros outside its own row, so the first
+    // candidate is the first non-basic column.
     for r in 0..t.m {
         if t.basis[r] < t.art_start {
             continue;
         }
-        let mut pivot_col = None;
-        for j in 0..t.art_start {
-            if t.at(r, j).abs() > 1e-7 {
-                pivot_col = Some(j);
-                break;
-            }
-        }
+        let pivot_col = (0..t.art_start).find(|&j| {
+            let slot = t.slot_of[j];
+            slot != NONE && t.at(r, slot as usize).abs() > 1e-7
+        });
         match pivot_col {
             Some(j) => t.pivot(r, j),
             None => t.rows[r].active = false,
@@ -719,7 +944,7 @@ pub(crate) fn sweep(
 
 #[cfg(test)]
 mod tests {
-    use super::{build_tableau, Snapshot, Tableau, NEG_ZERO};
+    use super::{build_tableau, Snapshot, Tableau, NEG_ZERO, NONE};
     use crate::{ConstraintOp, LpError, LpProblem, Sense};
 
     fn approx(a: f64, b: f64) -> bool {
@@ -906,16 +1131,59 @@ mod tests {
         let mut lp = LpProblem::new(Sense::Maximize, 2);
         lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Le, -0.0);
         lp.add_constraint(vec![(0, 1.0), (1, 2.0)], ConstraintOp::Ge, 3.0);
+        lp.add_constraint(vec![(1, -1.0)], ConstraintOp::Le, 4.0);
         let mut t = Tableau::default();
         build_tableau(&lp, &mut t);
+        // A pivot on a negative entry turns the pivot row's zeros in the
+        // other basic columns into `-0.0`s, which live in the zero signs.
+        t.pivot(2, 1);
         let bits = |t: &Tableau| t.a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let before = bits(&t);
         assert!(before.contains(&NEG_ZERO));
+        assert!(t.zero_signs.iter().any(|&s| s != 0));
+        assert_eq!(t.slot_of[1], NONE);
+        let (basis, col_of, slot_of, signs) = (
+            t.basis.clone(),
+            t.col_of.clone(),
+            t.slot_of.clone(),
+            t.zero_signs.clone(),
+        );
         let snapshot = Snapshot::take(&t, 0);
         t.a.fill(7.0);
         t.basis.fill(9);
+        t.col_of.fill(5);
+        t.slot_of.fill(6);
+        t.zero_signs.fill(u64::MAX);
         snapshot.restore(&mut t);
         assert_eq!(bits(&t), before);
-        assert_eq!(t.basis, snapshot.basis);
+        assert_eq!(t.basis, basis);
+        assert_eq!(t.col_of, col_of);
+        assert_eq!(t.slot_of, slot_of);
+        assert_eq!(t.zero_signs, signs);
+    }
+
+    #[test]
+    fn a_built_tableau_stores_only_the_non_basic_columns() {
+        // Three structural columns; a `≤`, a `≥`, an `=` row, and a `≤`
+        // row with a negative right-hand side, which becomes a `≥` row.
+        let mut lp = LpProblem::new(Sense::Maximize, 3);
+        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Le, 4.0);
+        lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Ge, 1.0);
+        lp.add_constraint(vec![(2, 1.0)], ConstraintOp::Eq, 2.0);
+        lp.add_constraint(vec![(0, -1.0)], ConstraintOp::Le, -1.0);
+        let mut t = Tableau::default();
+        build_tableau(&lp, &mut t);
+        let (m, structural, surplus) = (4, 3, 2);
+        // Slack and surplus columns, then one artificial per `≥`/`=` row.
+        assert_eq!(t.cols, structural + 3 + 3);
+        assert_eq!(t.a.len(), m * (structural + surplus + 1));
+        assert_eq!(t.obj.len(), structural + surplus + 1);
+        for &b in &t.basis {
+            assert_eq!(t.slot_of[b], NONE);
+        }
+        for (s, &j) in t.col_of.iter().enumerate() {
+            assert_eq!(t.slot_of[j as usize], s as u32);
+        }
+        assert_eq!(t.zero_signs.len(), m + 1);
     }
 }

@@ -17,10 +17,12 @@
 //! The random LPs mix `≤`/`≥`/`=` rows, negative (and negative-zero)
 //! right-hand sides (a quarter of the rows are stated multiplied by -1) and about 70 % zero coefficients, so they cover
 //! infeasible and unbounded outcomes as well as optimal ones; some run on
-//! starved pivot budgets. Fixed cases add a Klee–Minty cube that runs past
-//! the Bland threshold, and the CIP and LPIP LPs of the test-scale world
-//! catalogs. The random blocks follow `ProptestConfig::default()`, so CI
-//! elevates them with `PROPTEST_CASES=256`.
+//! starved pivot budgets. Fixed cases add the zero-sign cases the random
+//! blocks found, a Klee–Minty cube that runs past the Bland threshold, and
+//! the CIP and LPIP LPs of the test-scale world catalogs. The random blocks
+//! follow `ProptestConfig::default()`, so CI elevates them with
+//! `PROPTEST_CASES=20000`: 256 and 1,024 cases missed a zero-sign fault
+//! that 4,096 caught.
 
 use proptest::prelude::*;
 use qp_lp::{
@@ -266,6 +268,79 @@ fn rows_normalized_by_a_negative_pivot_stay_exact() {
     rows.rows
         .extend((0..5).map(|j| (vec![(j, 1.0)], ConstraintOp::Le, 30.0)));
     let objective = vec![0.0, 4.377839386290581, 0.0, 0.0, 0.0];
+    let p = rows.problem(&objective);
+    let dense = reference::solve(&p);
+    validate::check_same_bits(&dense, &p.solve()).unwrap();
+    let dual = dense.unwrap().dual;
+    assert_eq!(dual[2].to_bits(), 0.0f64.to_bits());
+    check_all(&rows, &[objective]).unwrap();
+}
+
+/// A case the random generator found: phase 1 leaves three zero-valued
+/// artificials basic in `=` rows, and a drive-out pivot on a negative entry
+/// leaves `-0.0`s in the columns basic in other rows. One of those columns
+/// then leaves the basis, and its `-0.0`s reach the duals. The tableau
+/// stores no basic column, so only its zero-sign bits carry those signs:
+/// without them three duals come out with the wrong zero sign.
+#[test]
+fn negative_zeros_of_a_leaving_basic_column_stay_exact() {
+    let rows = Rows {
+        n: 5,
+        rows: vec![
+            (
+                vec![(0, 1.6199503313170436), (1, 0.0), (2, 0.0)],
+                ConstraintOp::Ge,
+                -18.409334053820746,
+            ),
+            (
+                vec![(0, -4.978111754405614), (2, -1.304293171938145), (4, -1.0)],
+                ConstraintOp::Eq,
+                -0.0,
+            ),
+            (
+                vec![(1, 0.0), (2, -4.697416791841132), (3, 0.0)],
+                ConstraintOp::Eq,
+                0.0,
+            ),
+            (vec![(3, 1.0)], ConstraintOp::Le, 14.665260743348853),
+            (
+                vec![(4, 1.7675713497326173)],
+                ConstraintOp::Le,
+                11.357209677401219,
+            ),
+            (vec![(0, -2.266741256613705)], ConstraintOp::Eq, 0.0),
+        ],
+        sense: Sense::Minimize,
+        budget: Some(1),
+    };
+    let objective = vec![0.0, 0.0, 4.753345358221298, 0.19916745556256177, 0.0];
+    let p = rows.problem(&objective);
+    let dense = reference::solve(&p);
+    validate::check_same_bits(&dense, &p.solve()).unwrap();
+    let dual = dense.unwrap().dual;
+    assert!(dual.iter().any(|y| y.to_bits() == (-0.0f64).to_bits()));
+    check_all(&rows, &[objective]).unwrap();
+}
+
+/// Three `=` rows over two variables, any one of them redundant. Phase 1
+/// pivots one row's artificial column back into the basis in another
+/// row, and then drops that row, so the first row's dual is the reduced
+/// cost of a column basic in a dropped row. That cost is a zero whose sign
+/// the dense solver computes while rebuilding the objective: `-0.0`, which
+/// this minimization reports as `0.0` (a `+0.0` would come out `-0.0`).
+#[test]
+fn a_logical_column_basic_in_a_dropped_row_keeps_its_zero_sign() {
+    let rows = Rows {
+        n: 2,
+        rows: vec![
+            (vec![(0, 2.0)], ConstraintOp::Eq, 2.0),
+            (vec![(0, -2.0), (1, 3.0)], ConstraintOp::Eq, 1.0),
+            (vec![(0, 3.0), (1, -2.0)], ConstraintOp::Eq, 1.0),
+        ],
+        sense: Sense::Minimize,
+        budget: None,
+    };
+    let objective = vec![1.0, 1.0];
     let p = rows.problem(&objective);
     let dense = reference::solve(&p);
     validate::check_same_bits(&dense, &p.solve()).unwrap();

@@ -12,7 +12,7 @@
 //! pivot budgets, also drive the workspace-reuse oracle: a sequence of them
 //! solved through one [`SimplexWorkspace`] must match fresh solves bit for
 //! bit. That block follows `ProptestConfig::default()`, so CI elevates it
-//! with `PROPTEST_CASES=256`.
+//! with `PROPTEST_CASES=20000`.
 
 use proptest::prelude::*;
 use qp_lp::{validate, ConstraintOp, LpProblem, Sense, SimplexWorkspace};

@@ -39,7 +39,10 @@
 //! exactly one back worker, hence at most two workers.
 //!
 //! *Memory.* Each worker owns one [`LpProblem`] and one
-//! [`SimplexWorkspace`], so at most two tableaus are live. The calling
+//! [`SimplexWorkspace`], so at most two tableaus are live. A threshold LP
+//! has only `≤` rows, whose slack columns start basic, and the simplex
+//! stores only the non-basic columns: a tableau holds `rows × (vars + 1)`
+//! entries, not the dense `rows × (vars + rows + 1)`. The calling
 //! thread sizes both workers' buffers — forced-edge list, item↔variable
 //! maps, LP rows, tableau, weights — for the last threshold's LP, whose
 //! forced set contains every other's, before the spawn. No buffer grows

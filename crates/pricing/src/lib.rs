@@ -33,8 +33,8 @@
 //! every mutation empties that memo, so XOS composes the two price vectors
 //! without solving their LPs a second time (see the [`Hypergraph`] docs).
 //!
-//! Revenue upper bounds (Σ valuations and the subadditive LP bound of §6.1)
-//! live in [`bounds`]; the Ω(log m) lower-bound constructions of Lemmas 2–4
+//! The figures' revenue bounds (Σ valuations, the one upper bound on
+//! revenue, and the sell-all subadditive LP of §6.1) live in [`bounds`]; the Ω(log m) lower-bound constructions of Lemmas 2–4
 //! live in [`instances`].
 //!
 //! ## Representation

@@ -163,7 +163,7 @@ proptest! {
     #[test]
     fn subadditive_bound_is_at_most_sum(inst in instance_strategy()) {
         let h = build(&inst);
-        let bound = bounds::subadditive_bound(&h, &Default::default());
+        let bound = bounds::sell_all_subadditive_bound(&h, &Default::default());
         prop_assert!(bound <= bounds::sum_of_valuations(&h) + 1e-6);
         prop_assert!(bound >= -1e-9);
     }

@@ -204,7 +204,7 @@ fn figure_pipeline_smoke_test() {
         let mut h = base.clone();
         assign_valuations(&mut h, &model, 5);
         let sum = bounds::sum_of_valuations(&h);
-        let sub = bounds::subadditive_bound(&h, &Default::default());
+        let sub = bounds::sell_all_subadditive_bound(&h, &Default::default());
         assert!(sub <= sum + 1e-6);
         for name in ["UBP", "UIP", "Layering"] {
             let out = algorithms::by_name(name).expect("paper algorithm").run(&h);
