@@ -1,13 +1,13 @@
-//! Byte-level record codec primitives shared by the durability layer.
-//!
-//! The WAL and snapshot formats of `qp-store` are built from three pieces
-//! that live here, next to the other core data structures, so any crate can
-//! frame records without pulling in the store itself:
+//! The one byte layer of the workspace: every encoding — the `qp-store` WAL
+//! and snapshots, the `qp-telemetry` flight dump and the `qp-server` wire
+//! protocol — is built from the pieces here, so each domain type has one
+//! encoder whichever boundary it crosses:
 //!
 //! * little-endian `put_*` appenders and a bounds-checked [`ByteReader`]
 //!   cursor (floats travel as raw bit patterns — the durability contract is
-//!   *bit-identical* revenue after recovery, so no float ever goes through
-//!   a decimal round-trip);
+//!   *bit-identical* revenue after recovery, and every buyer must see the
+//!   same prices, so no float ever goes through a decimal round-trip;
+//!   strings are a `u32` byte length and strict UTF-8);
 //! * [`crc32`], the CRC-32/ISO-HDLC checksum (the IEEE 802.3 polynomial,
 //!   reflected, init/xorout `0xFFFF_FFFF`) used to frame every record;
 //! * [`CodecError`], the one error type decoding can produce — corruption
@@ -62,6 +62,8 @@ pub enum CodecError {
     BadTag(u8),
     /// A length or count field exceeded the decoder's sanity bound.
     BadLength(u64),
+    /// A string field is not valid UTF-8.
+    BadUtf8,
 }
 
 impl fmt::Display for CodecError {
@@ -71,6 +73,7 @@ impl fmt::Display for CodecError {
             CodecError::Trailing => write!(f, "trailing bytes after record"),
             CodecError::BadTag(t) => write!(f, "unknown record tag {t:#04x}"),
             CodecError::BadLength(n) => write!(f, "implausible length field {n}"),
+            CodecError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
         }
     }
 }
@@ -90,6 +93,12 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
 /// Appends the raw bit pattern of `v` — the exact `f64` round-trips.
 pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     put_u64(buf, v.to_bits());
+}
+
+/// Appends `s` as a `u32` byte length followed by its UTF-8 bytes.
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_u32(buf, s.len() as u32);
+    buf.extend_from_slice(s.as_bytes());
 }
 
 /// Bounds-checked little-endian cursor over an immutable byte slice.
@@ -138,6 +147,22 @@ impl<'a> ByteReader<'a> {
     /// Reads a bit pattern written by [`put_f64`].
     pub fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// Reads a flag byte, which must be 0 or 1.
+    pub fn bool(&mut self) -> Result<bool, CodecError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(CodecError::BadTag(other)),
+        }
+    }
+
+    /// Reads a string written by [`put_str`]. A length past the end of the
+    /// buffer is [`CodecError::Truncated`] before anything is allocated.
+    pub fn str(&mut self) -> Result<&'a str, CodecError> {
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.take(len)?).map_err(|_| CodecError::BadUtf8)
     }
 
     /// Reads a count field and sanity-checks it against the bytes actually
@@ -213,6 +238,24 @@ mod tests {
         let mut r = ByteReader::new(&[1, 2, 3]);
         r.u8().unwrap();
         assert_eq!(r.finish(), Err(CodecError::Trailing));
+    }
+
+    #[test]
+    fn strings_round_trip_and_reject_bad_utf8() {
+        let mut buf = Vec::new();
+        put_str(&mut buf, "");
+        put_str(&mut buf, "prix é");
+        let mut r = ByteReader::new(&buf);
+        assert_eq!(r.str().unwrap(), "");
+        assert_eq!(r.str().unwrap(), "prix é");
+        r.finish().unwrap();
+        let mut bad = Vec::new();
+        put_u32(&mut bad, 2);
+        bad.extend_from_slice(&[0xC3, 0x28]);
+        assert_eq!(ByteReader::new(&bad).str(), Err(CodecError::BadUtf8));
+        let mut long = Vec::new();
+        put_u32(&mut long, u32::MAX);
+        assert_eq!(ByteReader::new(&long).str(), Err(CodecError::Truncated));
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! The wire protocol: length-prefixed binary frames over TCP.
 //!
 //! Dependency-free by design (std only): every message is one **frame** —
-//! a big-endian `u32` payload length followed by the payload, whose first
-//! byte is the opcode. Integers are big-endian; floats travel as their
+//! a big-endian `u32` payload length followed by the payload. The payload
+//! opens with the [`WIRE_VERSION`] byte, then the opcode, then the body.
+//! Bodies are built from the same encoders the WAL, snapshots and flight
+//! dumps use ([`qp_core::codec`], `qp_store`'s pricing and patch codecs,
+//! `qp_telemetry`'s metrics and exemplar codecs): integers little-endian,
+//! counts `u64`, strings a `u32` length and strict UTF-8, floats as their
 //! IEEE-754 bit patterns (`f64::to_bits`), so prices survive the wire
 //! **bit-exactly** — the revenue-determinism self-check depends on that.
 //! Bundles travel as their canonical bitset blocks
@@ -24,17 +28,27 @@ use parking_lot::atomic::{AtomicBool, Ordering};
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use qp_core::codec::{put_f64, put_str, put_u32, put_u64, ByteReader, CodecError};
 use qp_core::ItemSet;
 use qp_pricing::algorithms::PricingPatch;
-use qp_pricing::Pricing;
-use qp_telemetry::{Exemplar, HistogramSnapshot, MetricsSnapshot, SpanRecord, NUM_BUCKETS};
+use qp_store::{put_patch, take_patch};
+use qp_telemetry::{put_exemplars, put_metrics, take_exemplars, take_metrics};
+use qp_telemetry::{Exemplar, MetricsSnapshot};
 
 /// Upper bound on a frame payload (16 MiB). A frame header announcing more
 /// fails the read and the server drops the connection — the peer is either
-/// broken or hostile. Counts declared inside a payload are held to it too
-/// ([`WireError::Oversized`]), and nothing is ever sized on a peer's say-so
-/// alone: [`FrameReader`] grows only with bytes that have arrived.
+/// broken or hostile. Nothing is ever sized on a peer's say-so alone:
+/// [`FrameReader`] grows only with bytes that have arrived, and a count
+/// inside a payload is checked against the bytes left before anything is
+/// allocated for it.
 pub const MAX_FRAME: usize = 1 << 24;
+
+/// The first byte of every request and response payload, once per frame
+/// (a `TRACED` envelope's inner request carries none). It is none of the
+/// pre-version opcodes, so a frame from a peer of the unversioned protocol
+/// is refused as [`WireError::UnsupportedVersion`] rather than misread, and
+/// such a peer reads this byte as an unknown opcode.
+pub const WIRE_VERSION: u8 = 0x20;
 
 // Request opcodes.
 const OP_QUOTE: u8 = 0x01;
@@ -44,9 +58,9 @@ const OP_REPRICE: u8 = 0x04;
 const OP_SHUTDOWN: u8 = 0x05;
 const OP_METRICS: u8 = 0x06;
 const OP_TRACE: u8 = 0x07;
-/// Trace-context envelope: `[0x10][u64 trace id][inner request frame]`.
-/// A new opcode rather than trailing bytes on existing bodies, so every
-/// pre-trace frame still parses byte-identically and an old server
+/// Trace-context envelope: `[0x10][u64 trace id][inner opcode + body]`.
+/// A new opcode rather than trailing bytes on existing bodies, so a bare
+/// request's bytes do not depend on tracing and a server without tracing
 /// rejects the envelope with a clean `UNKNOWN_OPCODE` instead of
 /// misreading it.
 const OP_TRACED: u8 = 0x10;
@@ -63,30 +77,31 @@ const OP_ERROR: u8 = 0xFF;
 /// Why a peer's bytes could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// The payload ended before the announced structure did.
-    Truncated,
-    /// The payload continued past the announced structure.
-    TrailingBytes(usize),
-    /// The leading opcode byte is not in the catalogue.
+    /// The payload does not open with [`WIRE_VERSION`]; carries the byte
+    /// it opens with.
+    UnsupportedVersion(u8),
+    /// The opcode byte is not in the catalogue.
     UnknownOpcode(u8),
-    /// A tag byte inside the payload (pricing class, patch kind, error
-    /// code) is not in the catalogue.
-    UnknownTag(u8),
-    /// A declared length would exceed [`MAX_FRAME`].
-    Oversized(usize),
-    /// A string field is not UTF-8.
-    BadUtf8,
+    /// The body did not decode: truncated, trailing bytes, an unknown tag,
+    /// an implausible count, or a string that is not UTF-8.
+    Codec(CodecError),
+}
+
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        WireError::Codec(e)
+    }
 }
 
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WireError::Truncated => write!(f, "payload truncated"),
-            WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after the message"),
+            WireError::UnsupportedVersion(b) => write!(
+                f,
+                "payload opens with 0x{b:02x}, not wire version 0x{WIRE_VERSION:02x}"
+            ),
             WireError::UnknownOpcode(op) => write!(f, "unknown opcode 0x{op:02x}"),
-            WireError::UnknownTag(t) => write!(f, "unknown tag 0x{t:02x}"),
-            WireError::Oversized(n) => write!(f, "declared length {n} exceeds MAX_FRAME"),
-            WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
+            WireError::Codec(e) => write!(f, "malformed payload: {e}"),
         }
     }
 }
@@ -110,16 +125,20 @@ pub enum ErrorCode {
     ///
     /// [u]: ErrorCode::UnknownQuote
     QuoteExpired = 4,
+    /// The request payload did not open with [`WIRE_VERSION`]: the peer
+    /// speaks another version of the protocol.
+    UnsupportedVersion = 5,
 }
 
 impl ErrorCode {
-    fn from_byte(b: u8) -> Result<ErrorCode, WireError> {
+    fn from_byte(b: u8) -> Result<ErrorCode, CodecError> {
         match b {
             1 => Ok(ErrorCode::UnknownOpcode),
             2 => Ok(ErrorCode::Malformed),
             3 => Ok(ErrorCode::UnknownQuote),
             4 => Ok(ErrorCode::QuoteExpired),
-            other => Err(WireError::UnknownTag(other)),
+            5 => Ok(ErrorCode::UnsupportedVersion),
+            other => Err(CodecError::BadTag(other)),
         }
     }
 }
@@ -263,6 +282,10 @@ const READ_CHUNK: usize = 8 * 1024;
 /// past it; the next frame starts from this cap again.
 const RETAIN_CAP: usize = 64 * 1024;
 
+fn oversized(len: usize) -> String {
+    format!("frame payload of {len} bytes exceeds MAX_FRAME")
+}
+
 /// Writes one frame — `u32` big-endian payload length, then the payload —
 /// with a single `write_all`, so a small frame leaves as one TCP segment.
 ///
@@ -281,10 +304,7 @@ pub fn write_frame<W: Write>(
     payload(buf);
     let len = buf.len() - 4;
     let sent = if len > MAX_FRAME {
-        Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            WireError::Oversized(len).to_string(),
-        ))
+        Err(io::Error::new(io::ErrorKind::InvalidInput, oversized(len)))
     } else {
         buf[..4].copy_from_slice(&(len as u32).to_be_bytes());
         w.write_all(buf).and_then(|()| w.flush())
@@ -353,10 +373,7 @@ impl FrameReader {
         header.copy_from_slice(&self.buf[self.start..self.start + 4]);
         let len = u32::from_be_bytes(header) as usize;
         if len > MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                WireError::Oversized(len).to_string(),
-            ));
+            return Err(io::Error::new(io::ErrorKind::InvalidData, oversized(len)));
         }
         // Never `false`: the header is buffered, so this is not a boundary.
         self.fill(r, 4 + len, stop)?;
@@ -432,328 +449,34 @@ impl FrameReader {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive encoders / the payload cursor
-// ---------------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-/// A bounds-checked reader over a frame payload.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() - self.pos < n {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Like [`Cursor::take`] but returns a fixed-size array, so multi-byte
-    /// decoders need no fallible (or panicking) slice conversion.
-    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        let mut a = [0u8; N];
-        a.copy_from_slice(self.take(N)?);
-        Ok(a)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_be_bytes(self.take_array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_be_bytes(self.take_array()?))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// A declared count of fixed-`width`-byte records, rejected before
-    /// allocation if it could not possibly fit in a legal frame.
-    fn checked_count(&mut self, width: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(width) > MAX_FRAME {
-            return Err(WireError::Oversized(n));
-        }
-        Ok(n)
-    }
-
-    /// Consumes and returns every remaining byte (the `TRACED` envelope's
-    /// inner frame, decoded recursively).
-    fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes(self.buf.len() - self.pos))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Composite codecs: bundles, pricings, patches
+// Bundles
 // ---------------------------------------------------------------------------
 
 fn put_bundle(out: &mut Vec<u8>, bundle: &ItemSet) {
     let blocks = bundle.as_blocks();
-    put_u32(out, blocks.len() as u32);
+    put_u64(out, blocks.len() as u64);
     for &b in blocks {
         put_u64(out, b);
     }
 }
 
-fn take_bundle(c: &mut Cursor<'_>) -> Result<ItemSet, WireError> {
-    let n = c.checked_count(8)?;
+fn take_bundle(r: &mut ByteReader<'_>) -> Result<ItemSet, CodecError> {
+    let n = r.checked_count(8)?;
     let mut blocks = Vec::with_capacity(n);
     for _ in 0..n {
-        blocks.push(c.u64()?);
+        blocks.push(r.u64()?);
     }
     // from_blocks re-normalizes, so even a peer that pads with zero blocks
     // yields the canonical set (hash/route/compare-safe).
     Ok(ItemSet::from_blocks(blocks))
 }
 
-const PRICING_UNIFORM_BUNDLE: u8 = 0;
-const PRICING_ITEM: u8 = 1;
-const PRICING_XOS: u8 = 2;
-
-fn put_pricing(out: &mut Vec<u8>, pricing: &Pricing) {
-    match pricing {
-        Pricing::UniformBundle { price } => {
-            out.push(PRICING_UNIFORM_BUNDLE);
-            put_f64(out, *price);
-        }
-        Pricing::Item { weights } => {
-            out.push(PRICING_ITEM);
-            put_u32(out, weights.len() as u32);
-            for &w in weights {
-                put_f64(out, w);
-            }
-        }
-        Pricing::Xos { components } => {
-            out.push(PRICING_XOS);
-            put_u32(out, components.len() as u32);
-            for comp in components {
-                put_u32(out, comp.len() as u32);
-                for &w in comp {
-                    put_f64(out, w);
-                }
-            }
-        }
+/// Reads the version byte every payload opens with.
+fn take_version(r: &mut ByteReader<'_>) -> Result<(), WireError> {
+    match r.u8()? {
+        WIRE_VERSION => Ok(()),
+        other => Err(WireError::UnsupportedVersion(other)),
     }
-}
-
-fn take_pricing(c: &mut Cursor<'_>) -> Result<Pricing, WireError> {
-    match c.u8()? {
-        PRICING_UNIFORM_BUNDLE => Ok(Pricing::UniformBundle { price: c.f64()? }),
-        PRICING_ITEM => {
-            let n = c.checked_count(8)?;
-            let mut weights = Vec::with_capacity(n);
-            for _ in 0..n {
-                weights.push(c.f64()?);
-            }
-            Ok(Pricing::Item { weights })
-        }
-        PRICING_XOS => {
-            let ncomp = c.checked_count(4)?;
-            let mut components = Vec::with_capacity(ncomp);
-            for _ in 0..ncomp {
-                let n = c.checked_count(8)?;
-                let mut comp = Vec::with_capacity(n);
-                for _ in 0..n {
-                    comp.push(c.f64()?);
-                }
-                components.push(comp);
-            }
-            Ok(Pricing::Xos { components })
-        }
-        other => Err(WireError::UnknownTag(other)),
-    }
-}
-
-const PATCH_KEEP: u8 = 0;
-const PATCH_REPLACE: u8 = 1;
-const PATCH_SET_UNIFORM_PRICE: u8 = 2;
-const PATCH_SET_UNIFORM_WEIGHT: u8 = 3;
-
-fn put_patch(out: &mut Vec<u8>, patch: &PricingPatch) {
-    match patch {
-        PricingPatch::Keep => out.push(PATCH_KEEP),
-        PricingPatch::Replace(pricing) => {
-            out.push(PATCH_REPLACE);
-            put_pricing(out, pricing);
-        }
-        PricingPatch::SetUniformPrice(p) => {
-            out.push(PATCH_SET_UNIFORM_PRICE);
-            put_f64(out, *p);
-        }
-        PricingPatch::SetUniformWeight { weight, num_items } => {
-            out.push(PATCH_SET_UNIFORM_WEIGHT);
-            put_f64(out, *weight);
-            put_u64(out, *num_items as u64);
-        }
-    }
-}
-
-fn take_patch(c: &mut Cursor<'_>) -> Result<PricingPatch, WireError> {
-    match c.u8()? {
-        PATCH_KEEP => Ok(PricingPatch::Keep),
-        PATCH_REPLACE => Ok(PricingPatch::Replace(take_pricing(c)?)),
-        PATCH_SET_UNIFORM_PRICE => Ok(PricingPatch::SetUniformPrice(c.f64()?)),
-        PATCH_SET_UNIFORM_WEIGHT => Ok(PricingPatch::SetUniformWeight {
-            weight: c.f64()?,
-            num_items: c.u64()? as usize,
-        }),
-        other => Err(WireError::UnknownTag(other)),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Metrics snapshot codec
-// ---------------------------------------------------------------------------
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
-}
-
-fn take_str(c: &mut Cursor<'_>) -> Result<String, WireError> {
-    let len = c.checked_count(1)?;
-    Ok(std::str::from_utf8(c.take(len)?)
-        .map_err(|_| WireError::BadUtf8)?
-        .to_string())
-}
-
-fn put_exemplar(out: &mut Vec<u8>, ex: &Exemplar) {
-    put_u64(out, ex.trace_id);
-    put_str(out, &ex.root);
-    put_u64(out, ex.total_ns);
-    put_u32(out, ex.events.len() as u32);
-    for ev in &ex.events {
-        put_str(out, &ev.name);
-        put_u32(out, ev.depth);
-        put_u32(out, ev.shard);
-        put_u64(out, ev.start_ns);
-        put_u64(out, ev.dur_ns);
-    }
-}
-
-fn take_exemplar(c: &mut Cursor<'_>) -> Result<Exemplar, WireError> {
-    let trace_id = c.u64()?;
-    let root = take_str(c)?;
-    let total_ns = c.u64()?;
-    let n_events = c.checked_count(24)?;
-    let mut events = Vec::with_capacity(n_events);
-    for _ in 0..n_events {
-        let name = take_str(c)?;
-        events.push(SpanRecord {
-            name,
-            depth: c.u32()?,
-            shard: c.u32()?,
-            start_ns: c.u64()?,
-            dur_ns: c.u64()?,
-        });
-    }
-    Ok(Exemplar {
-        trace_id,
-        root,
-        total_ns,
-        events,
-    })
-}
-
-fn put_metrics(out: &mut Vec<u8>, snap: &MetricsSnapshot) {
-    put_u32(out, snap.counters.len() as u32);
-    for (name, total) in &snap.counters {
-        put_str(out, name);
-        put_u64(out, *total);
-    }
-    put_u32(out, snap.gauges.len() as u32);
-    for (name, value) in &snap.gauges {
-        put_str(out, name);
-        // Two's complement on the wire; the decode side casts back.
-        put_u64(out, *value as u64);
-    }
-    put_u32(out, snap.histograms.len() as u32);
-    for (name, hist) in &snap.histograms {
-        put_str(out, name);
-        put_u64(out, hist.sum);
-        for &b in hist.buckets.iter() {
-            put_u64(out, b);
-        }
-    }
-    put_u32(out, snap.exemplars.len() as u32);
-    for ex in &snap.exemplars {
-        put_exemplar(out, ex);
-    }
-}
-
-fn take_metrics(c: &mut Cursor<'_>) -> Result<MetricsSnapshot, WireError> {
-    // Minimum record widths (empty name string counts its 4-byte length
-    // prefix) keep declared counts honest before any allocation.
-    let n_counters = c.checked_count(12)?;
-    let mut counters = Vec::with_capacity(n_counters);
-    for _ in 0..n_counters {
-        let name = take_str(c)?;
-        counters.push((name, c.u64()?));
-    }
-    let n_gauges = c.checked_count(12)?;
-    let mut gauges = Vec::with_capacity(n_gauges);
-    for _ in 0..n_gauges {
-        let name = take_str(c)?;
-        gauges.push((name, c.u64()? as i64));
-    }
-    let n_hists = c.checked_count(4 + 8 + 8 * NUM_BUCKETS)?;
-    let mut histograms = Vec::with_capacity(n_hists);
-    for _ in 0..n_hists {
-        let name = take_str(c)?;
-        let sum = c.u64()?;
-        let mut buckets = [0u64; NUM_BUCKETS];
-        for b in buckets.iter_mut() {
-            *b = c.u64()?;
-        }
-        histograms.push((name, HistogramSnapshot { sum, buckets }));
-    }
-    let n_exemplars = c.checked_count(24)?;
-    let mut exemplars = Vec::with_capacity(n_exemplars);
-    for _ in 0..n_exemplars {
-        exemplars.push(take_exemplar(c)?);
-    }
-    Ok(MetricsSnapshot {
-        counters,
-        gauges,
-        histograms,
-        exemplars,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -761,7 +484,7 @@ fn take_metrics(c: &mut Cursor<'_>) -> Result<MetricsSnapshot, WireError> {
 // ---------------------------------------------------------------------------
 
 impl Request {
-    /// Serializes into a frame payload (opcode byte + body).
+    /// Serializes into a frame payload (version byte, opcode, body).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.encode_into(&mut out);
@@ -771,36 +494,31 @@ impl Request {
     /// Appends the frame payload to `out` — the allocation-free form of
     /// `encode`, used with [`write_frame`]'s reusable buffer.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(WIRE_VERSION);
+        self.encode_body(out);
+    }
+
+    /// Appends the opcode and body (an envelope's inner request has no
+    /// version byte of its own).
+    fn encode_body(&self, out: &mut Vec<u8>) {
+        out.push(self.wire_opcode());
         match self {
-            Request::Quote(bundle) => {
-                out.push(OP_QUOTE);
-                put_bundle(out, bundle);
-            }
+            Request::Quote(bundle) => put_bundle(out, bundle),
             Request::Purchase {
                 quote_id,
                 budget,
                 tick,
             } => {
-                out.push(OP_PURCHASE);
                 put_u64(out, *quote_id);
                 put_f64(out, *budget);
                 put_u64(out, *tick);
             }
-            Request::Stats => out.push(OP_STATS),
-            Request::Reprice(patch) => {
-                out.push(OP_REPRICE);
-                put_patch(out, patch);
-            }
-            Request::Shutdown => out.push(OP_SHUTDOWN),
-            Request::Metrics => out.push(OP_METRICS),
-            Request::Trace { trace_id } => {
-                out.push(OP_TRACE);
-                put_u64(out, *trace_id);
-            }
+            Request::Stats | Request::Shutdown | Request::Metrics => {}
+            Request::Reprice(patch) => put_patch(out, patch),
+            Request::Trace { trace_id } => put_u64(out, *trace_id),
             Request::Traced { trace_id, request } => {
-                out.push(OP_TRACED);
                 put_u64(out, *trace_id);
-                request.encode_into(out);
+                request.encode_body(out);
             }
         }
     }
@@ -822,39 +540,39 @@ impl Request {
 
     /// Parses a frame payload.
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
-        Request::decode_inner(payload, true)
+        let mut r = ByteReader::new(payload);
+        take_version(&mut r)?;
+        let req = Request::decode_body(&mut r, true)?;
+        r.finish()?;
+        Ok(req)
     }
 
-    fn decode_inner(payload: &[u8], allow_envelope: bool) -> Result<Request, WireError> {
-        let mut c = Cursor::new(payload);
-        let req = match c.u8()? {
-            OP_QUOTE => Request::Quote(take_bundle(&mut c)?),
+    fn decode_body(r: &mut ByteReader<'_>, allow_envelope: bool) -> Result<Request, WireError> {
+        Ok(match r.u8()? {
+            OP_QUOTE => Request::Quote(take_bundle(r)?),
             OP_PURCHASE => Request::Purchase {
-                quote_id: c.u64()?,
-                budget: c.f64()?,
-                tick: c.u64()?,
+                quote_id: r.u64()?,
+                budget: r.f64()?,
+                tick: r.u64()?,
             },
             OP_STATS => Request::Stats,
-            OP_REPRICE => Request::Reprice(take_patch(&mut c)?),
+            OP_REPRICE => Request::Reprice(take_patch(r)?),
             OP_SHUTDOWN => Request::Shutdown,
             OP_METRICS => Request::Metrics,
-            OP_TRACE => Request::Trace { trace_id: c.u64()? },
+            OP_TRACE => Request::Trace { trace_id: r.u64()? },
             // Envelopes carry exactly one level: a Traced inside a Traced
             // is rejected as an unknown opcode at the inner position.
-            OP_TRACED if allow_envelope => {
-                let trace_id = c.u64()?;
-                let request = Box::new(Request::decode_inner(c.rest(), false)?);
-                Request::Traced { trace_id, request }
-            }
+            OP_TRACED if allow_envelope => Request::Traced {
+                trace_id: r.u64()?,
+                request: Box::new(Request::decode_body(r, false)?),
+            },
             other => return Err(WireError::UnknownOpcode(other)),
-        };
-        c.finish()?;
-        Ok(req)
+        })
     }
 }
 
 impl Response {
-    /// Serializes into a frame payload (opcode byte + body).
+    /// Serializes into a frame payload (version byte, opcode, body).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.encode_into(&mut out);
@@ -864,6 +582,7 @@ impl Response {
     /// Appends the frame payload to `out` — the allocation-free form of
     /// `encode`, used with [`write_frame`]'s reusable buffer.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(WIRE_VERSION);
         match self {
             Response::Quoted(q) => {
                 out.push(OP_QUOTED);
@@ -880,7 +599,7 @@ impl Response {
             }
             Response::Stats(shards) => {
                 out.push(OP_STATS_REPLY);
-                put_u32(out, shards.len() as u32);
+                put_u64(out, shards.len() as u64);
                 for s in shards {
                     put_u64(out, s.epoch);
                     put_u64(out, s.quotes);
@@ -894,7 +613,7 @@ impl Response {
             }
             Response::Repriced { epochs } => {
                 out.push(OP_REPRICED);
-                put_u32(out, epochs.len() as u32);
+                put_u64(out, epochs.len() as u64);
                 for &e in epochs {
                     put_u64(out, e);
                 }
@@ -906,82 +625,67 @@ impl Response {
             }
             Response::Trace(exemplars) => {
                 out.push(OP_TRACE_REPLY);
-                put_u32(out, exemplars.len() as u32);
-                for ex in exemplars {
-                    put_exemplar(out, ex);
-                }
+                put_exemplars(out, exemplars);
             }
             Response::Error { code, message } => {
                 out.push(OP_ERROR);
                 out.push(*code as u8);
-                let bytes = message.as_bytes();
-                put_u32(out, bytes.len() as u32);
-                out.extend_from_slice(bytes);
+                put_str(out, message);
             }
         }
     }
 
     /// Parses a frame payload.
     pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
-        let mut c = Cursor::new(payload);
-        let resp = match c.u8()? {
+        let mut r = ByteReader::new(payload);
+        take_version(&mut r)?;
+        let resp = match r.u8()? {
             OP_QUOTED => Response::Quoted(QuoteReply {
-                quote_id: c.u64()?,
-                price: c.f64()?,
-                epoch: c.u64()?,
-                shard: c.u32()?,
-                cache_hit: c.u8()? != 0,
+                quote_id: r.u64()?,
+                price: r.f64()?,
+                epoch: r.u64()?,
+                shard: r.u32()?,
+                cache_hit: r.bool()?,
             }),
             OP_PURCHASED => Response::Purchased {
-                sold: c.u8()? != 0,
-                price: c.f64()?,
+                sold: r.bool()?,
+                price: r.f64()?,
             },
             OP_STATS_REPLY => {
-                let n = c.checked_count(64)?;
+                let n = r.checked_count(64)?;
                 let mut shards = Vec::with_capacity(n);
                 for _ in 0..n {
                     shards.push(ShardStats {
-                        epoch: c.u64()?,
-                        quotes: c.u64()?,
-                        cache_hits: c.u64()?,
-                        invalidations: c.u64()?,
-                        evictions: c.u64()?,
-                        sales: c.u64()?,
-                        declines: c.u64()?,
-                        revenue: c.f64()?,
+                        epoch: r.u64()?,
+                        quotes: r.u64()?,
+                        cache_hits: r.u64()?,
+                        invalidations: r.u64()?,
+                        evictions: r.u64()?,
+                        sales: r.u64()?,
+                        declines: r.u64()?,
+                        revenue: r.f64()?,
                     });
                 }
                 Response::Stats(shards)
             }
             OP_REPRICED => {
-                let n = c.checked_count(8)?;
+                let n = r.checked_count(8)?;
                 let mut epochs = Vec::with_capacity(n);
                 for _ in 0..n {
-                    epochs.push(c.u64()?);
+                    epochs.push(r.u64()?);
                 }
                 Response::Repriced { epochs }
             }
             OP_SHUTDOWN_ACK => Response::ShutdownAck,
-            OP_METRICS_REPLY => Response::Metrics(take_metrics(&mut c)?),
-            OP_TRACE_REPLY => {
-                let n = c.checked_count(24)?;
-                let mut exemplars = Vec::with_capacity(n);
-                for _ in 0..n {
-                    exemplars.push(take_exemplar(&mut c)?);
-                }
-                Response::Trace(exemplars)
-            }
-            OP_ERROR => {
-                let code = ErrorCode::from_byte(c.u8()?)?;
-                let len = c.checked_count(1)?;
-                let message = std::str::from_utf8(c.take(len)?)
-                    .map_err(|_| WireError::BadUtf8)?
-                    .to_string();
-                Response::Error { code, message }
-            }
+            OP_METRICS_REPLY => Response::Metrics(take_metrics(&mut r)?),
+            OP_TRACE_REPLY => Response::Trace(take_exemplars(&mut r)?),
+            OP_ERROR => Response::Error {
+                code: ErrorCode::from_byte(r.u8()?)?,
+                message: r.str()?.to_string(),
+            },
             other => return Err(WireError::UnknownOpcode(other)),
         };
-        c.finish()?;
+        r.finish()?;
         Ok(resp)
     }
 }
@@ -989,6 +693,8 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qp_pricing::Pricing;
+    use qp_telemetry::{HistogramSnapshot, SpanRecord};
     use std::collections::VecDeque;
 
     /// One frame as `write_frame` sends it.
@@ -1171,15 +877,19 @@ mod tests {
             Err(WireError::UnknownOpcode(0x10))
         );
         // A truncated envelope (id but no inner frame) fails cleanly.
-        let mut bare = vec![0x10u8];
-        bare.extend_from_slice(&9u64.to_be_bytes());
-        assert_eq!(Request::decode(&bare), Err(WireError::Truncated));
+        let mut bare = vec![WIRE_VERSION, 0x10];
+        put_u64(&mut bare, 9);
+        assert_eq!(
+            Request::decode(&bare),
+            Err(WireError::Codec(CodecError::Truncated))
+        );
     }
 
     #[test]
     fn pre_trace_frames_are_byte_identical() {
         // The envelope is purely additive: wrapping never rewrites the
-        // inner encoding, and no bare request ever begins with 0x10.
+        // inner opcode and body, the version byte appears once, and no
+        // bare request's opcode is 0x10.
         let requests = [
             Request::Quote([0usize, 7].into_iter().collect()),
             Request::Purchase {
@@ -1194,13 +904,19 @@ mod tests {
         ];
         for req in requests {
             let bare = req.encode();
-            assert_ne!(bare[0], 0x10, "bare frame collides with TRACED");
+            assert_eq!(bare[0], WIRE_VERSION);
+            assert_ne!(bare[1], 0x10, "bare frame collides with TRACED");
             let wrapped = Request::Traced {
                 trace_id: 42,
                 request: Box::new(req.clone()),
             }
             .encode();
-            assert_eq!(&wrapped[9..], &bare[..], "envelope rewrote the inner frame");
+            assert_eq!(&wrapped[..2], &[WIRE_VERSION, 0x10]);
+            assert_eq!(
+                &wrapped[10..],
+                &bare[1..],
+                "envelope rewrote the inner frame"
+            );
             assert_eq!(Request::decode(&bare).expect("old frame decodes"), req);
         }
     }
@@ -1209,12 +925,12 @@ mod tests {
     fn decoded_bundles_are_canonical_even_when_padded() {
         let bundle: ItemSet = [5usize, 70].into_iter().collect();
         // Hand-build a QUOTE whose block vector carries trailing zeros.
-        let mut payload = vec![0x01u8];
+        let mut payload = vec![WIRE_VERSION, 0x01];
         let mut blocks = bundle.as_blocks().to_vec();
         blocks.extend([0u64, 0u64]);
-        payload.extend_from_slice(&(blocks.len() as u32).to_be_bytes());
+        put_u64(&mut payload, blocks.len() as u64);
         for b in blocks {
-            payload.extend_from_slice(&b.to_be_bytes());
+            put_u64(&mut payload, b);
         }
         match Request::decode(&payload).expect("decodes") {
             Request::Quote(decoded) => assert_eq!(decoded, bundle),
@@ -1224,32 +940,61 @@ mod tests {
 
     #[test]
     fn malformed_payloads_yield_typed_errors() {
-        assert_eq!(Request::decode(&[]), Err(WireError::Truncated));
+        fn codec<T>(e: CodecError) -> Result<T, WireError> {
+            Err(WireError::Codec(e))
+        }
+        assert_eq!(Request::decode(&[]), codec(CodecError::Truncated));
         assert_eq!(
-            Request::decode(&[0x42]),
+            Request::decode(&[WIRE_VERSION]),
+            codec(CodecError::Truncated)
+        );
+        assert_eq!(
+            Request::decode(&[WIRE_VERSION, 0x42]),
             Err(WireError::UnknownOpcode(0x42))
         );
-        // A QUOTE that announces more blocks than it carries.
-        let mut truncated = vec![0x01u8];
-        truncated.extend_from_slice(&5u32.to_be_bytes());
-        assert_eq!(Request::decode(&truncated), Err(WireError::Truncated));
-        // A count that could never fit a legal frame is rejected before
-        // any allocation happens.
-        let mut oversized = vec![0x01u8];
-        oversized.extend_from_slice(&u32::MAX.to_be_bytes());
-        assert!(matches!(
-            Request::decode(&oversized),
-            Err(WireError::Oversized(_))
-        ));
+        // A payload that does not open with the version byte: a frame of
+        // the unversioned protocol, whatever follows.
+        assert_eq!(
+            Request::decode(&[0x01, 0, 0, 0, 0]),
+            Err(WireError::UnsupportedVersion(0x01))
+        );
+        assert_eq!(
+            Response::decode(&[0x81]),
+            Err(WireError::UnsupportedVersion(0x81))
+        );
+        // A QUOTE that announces more blocks than it carries is rejected
+        // before any allocation happens.
+        let mut short = vec![WIRE_VERSION, 0x01];
+        put_u64(&mut short, 5);
+        assert_eq!(Request::decode(&short), codec(CodecError::BadLength(5)));
+        let mut huge = vec![WIRE_VERSION, 0x01];
+        put_u64(&mut huge, u64::MAX);
+        assert_eq!(
+            Request::decode(&huge),
+            codec(CodecError::BadLength(u64::MAX))
+        );
         // Trailing garbage after a well-formed message.
         let mut trailing = Request::Stats.encode();
         trailing.push(0);
-        assert_eq!(Request::decode(&trailing), Err(WireError::TrailingBytes(1)));
-        // An unknown patch kind.
+        assert_eq!(Request::decode(&trailing), codec(CodecError::Trailing));
+        // An unknown patch kind, and a reply flag that is neither 0 nor 1.
         assert_eq!(
-            Request::decode(&[0x04, 0x77]),
-            Err(WireError::UnknownTag(0x77))
+            Request::decode(&[WIRE_VERSION, 0x04, 0x77]),
+            codec(CodecError::BadTag(0x77))
         );
+        let mut purchased = Response::Purchased {
+            sold: true,
+            price: 1.0,
+        }
+        .encode();
+        purchased[2] = 2;
+        assert_eq!(Response::decode(&purchased), codec(CodecError::BadTag(2)));
+        // A string that is not UTF-8.
+        let mut error = vec![WIRE_VERSION, 0xFF, 2];
+        put_str(&mut error, "ok");
+        let last = error.len() - 1;
+        error[last] = 0xFF;
+        assert_eq!(Response::decode(&error), codec(CodecError::BadUtf8));
     }
 
     #[test]
@@ -1339,18 +1084,22 @@ mod tests {
     #[test]
     fn one_write_per_frame_and_one_read_per_buffered_frame() {
         // The hot-path frames, spelled out from PROTOCOL.md: QUOTE {0, 7}
-        // (one bitset block, 0x81) and PURCHASE {id 3, budget 1.5, tick 9}.
+        // (one bitset block, 0x81) and PURCHASE {id 3, budget 1.5, tick 9},
+        // each a big-endian length, the version byte, the opcode and a
+        // little-endian body.
         let quote = Request::Quote([0usize, 7].into_iter().collect());
-        let quote_frame = [0, 0, 0, 13, 0x01, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0x81];
+        let quote_frame = [
+            0, 0, 0, 18, 0x20, 0x01, 1, 0, 0, 0, 0, 0, 0, 0, 0x81, 0, 0, 0, 0, 0, 0, 0,
+        ];
         let purchase = Request::Purchase {
             quote_id: 3,
             budget: 1.5,
             tick: 9,
         };
-        let mut purchase_frame = vec![0, 0, 0, 25, 0x02];
-        purchase_frame.extend_from_slice(&3u64.to_be_bytes());
-        purchase_frame.extend_from_slice(&1.5f64.to_bits().to_be_bytes());
-        purchase_frame.extend_from_slice(&9u64.to_be_bytes());
+        let mut purchase_frame = vec![0, 0, 0, 26, 0x20, 0x02];
+        purchase_frame.extend_from_slice(&3u64.to_le_bytes());
+        purchase_frame.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
+        purchase_frame.extend_from_slice(&9u64.to_le_bytes());
 
         let mut buf = Vec::new();
         for (req, frame) in [(&quote, &quote_frame[..]), (&purchase, &purchase_frame[..])] {

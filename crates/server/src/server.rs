@@ -504,8 +504,9 @@ fn dispatch(state: &ServerState, request: Request) -> (Response, bool) {
 fn error_response(err: &crate::protocol::WireError) -> Response {
     use crate::protocol::WireError;
     let code = match err {
+        WireError::UnsupportedVersion(_) => ErrorCode::UnsupportedVersion,
         WireError::UnknownOpcode(_) => ErrorCode::UnknownOpcode,
-        _ => ErrorCode::Malformed,
+        WireError::Codec(_) => ErrorCode::Malformed,
     };
     Response::Error {
         code,
@@ -517,6 +518,7 @@ fn error_response(err: &crate::protocol::WireError) -> Response {
 mod tests {
     use super::*;
     use crate::client::QuoteClient;
+    use crate::protocol::WIRE_VERSION;
     use qp_core::ItemSet;
     use qp_market::{Broker, SupportConfig};
     use qp_pricing::algorithms::PricingPatch;
@@ -635,7 +637,7 @@ mod tests {
         let mut conn = RawConn::new(TcpStream::connect(server.local_addr()).expect("connect"));
 
         // Unknown opcode.
-        conn.send(&[0x42u8]).unwrap();
+        conn.send(&[WIRE_VERSION, 0x42]).unwrap();
         match conn.reply().unwrap().expect("reply") {
             Response::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownOpcode),
             other => panic!("expected error, got {other:?}"),
@@ -643,7 +645,7 @@ mod tests {
 
         // Truncated QUOTE body — the connection survives to serve a good
         // request afterwards.
-        conn.send(&[0x01u8, 0, 0]).unwrap();
+        conn.send(&[WIRE_VERSION, 0x01, 0, 0]).unwrap();
         match conn.reply().unwrap().expect("reply") {
             Response::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
             other => panic!("expected error, got {other:?}"),

@@ -9,8 +9,8 @@
 //!    `TRACE` frame must return the server half by id.
 //! 2. **Protocol compatibility** — a proptest pinning that pre-trace
 //!    frames are byte-identical with tracing off, that the envelope is a
-//!    pure 9-byte prefix over the inner frame, and that envelopes never
-//!    nest.
+//!    pure 9-byte prefix over the inner opcode and body, and that
+//!    envelopes never nest.
 //! 3. **Crash flight recorder** — killing a durable server via the crash
 //!    switch must leave a parseable `flight.dump` whose WAL sequence
 //!    matches the store's final (recoverable) sequence and whose protocol
@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use qp_core::ItemSet;
 use qp_market::{Broker, SupportConfig};
 use qp_qdb::{ColumnType, Database, Query, Relation, Schema, Value};
-use qp_server::protocol::{Request, WireError};
+use qp_server::protocol::{Request, WireError, WIRE_VERSION};
 use qp_server::server::FlightRecorder;
 use qp_server::{CrashSwitch, QuoteClient, QuoteServer, ShardSet};
 use qp_store::{FileStore, SharedStore};
@@ -200,16 +200,18 @@ fn arb_request() -> impl Strategy<Value = Request> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The envelope is a pure 9-byte prefix: wrapping changes no inner
-    /// byte, unwrapping recovers the request, and untraced frames never
-    /// see the envelope opcode — old decoders keep working bit-for-bit.
+    /// The envelope is a pure 9-byte prefix after the version byte:
+    /// wrapping changes no inner opcode or body byte, the version byte
+    /// appears once, unwrapping recovers the request, and untraced frames
+    /// never see the envelope opcode.
     #[test]
     fn traced_envelope_is_a_transparent_prefix(
         request in arb_request(),
         trace_id in 1u64..u64::MAX,
     ) {
         let bare = request.encode();
-        prop_assert_ne!(bare[0], 0x10, "untraced frames must not collide with TRACED");
+        prop_assert_eq!(bare[0], WIRE_VERSION);
+        prop_assert_ne!(bare[1], 0x10, "untraced frames must not collide with TRACED");
         prop_assert_eq!(&Request::decode(&bare).unwrap(), &request);
 
         let wrapped = Request::Traced {
@@ -217,9 +219,9 @@ proptest! {
             request: Box::new(request.clone()),
         };
         let bytes = wrapped.encode();
-        prop_assert_eq!(bytes[0], 0x10);
-        prop_assert_eq!(&bytes[1..9], &trace_id.to_be_bytes()[..]);
-        prop_assert_eq!(&bytes[9..], &bare[..]);
+        prop_assert_eq!(&bytes[..2], &[WIRE_VERSION, 0x10][..]);
+        prop_assert_eq!(&bytes[2..10], &trace_id.to_le_bytes()[..]);
+        prop_assert_eq!(&bytes[10..], &bare[1..]);
         prop_assert_eq!(&Request::decode(&bytes).unwrap(), &wrapped);
 
         // One level only: a nested envelope is rejected, not recursed.

@@ -43,7 +43,7 @@ pub const WAL_MAGIC: &[u8; 8] = b"QPWAL01\n";
 /// replays the WAL from an older snapshot or from the start.
 const SNAP_MAGIC: &[u8; 8] = b"QPSNAP2\n";
 /// Ceiling on a single frame payload: anything larger is corruption.
-const MAX_FRAME: usize = 1 << 26;
+pub(crate) const MAX_FRAME: usize = 1 << 26;
 /// How many snapshot files to retain.
 const SNAPSHOTS_KEPT: usize = 3;
 

@@ -122,7 +122,7 @@ pub trait Store: Send + Sync {
 
 /// Most shards a replayed log may name. Shard indices are read from the
 /// log, so replay bounds them before growing the ledger vector to one.
-const MAX_REPLAY_SHARDS: usize = 1 << 16;
+pub(crate) const MAX_REPLAY_SHARDS: usize = 1 << 16;
 
 /// What [`Store::recover`] found.
 #[derive(Debug, Clone, Default)]

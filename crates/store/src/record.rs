@@ -1,4 +1,7 @@
-//! Wire formats for WAL records and snapshots.
+//! Encodings of WAL records and snapshots, and of the two domain types they
+//! carry: [`put_pricing`]/[`take_pricing`] and [`put_patch`]/[`take_patch`]
+//! are the only pricing and patch codecs in the workspace, which the
+//! `qp-server` wire protocol calls as well.
 //!
 //! Everything here is framed with the `qp-core` codec primitives: fields are
 //! little-endian, floats travel as raw `to_bits()` patterns (recovery must
@@ -131,11 +134,7 @@ impl WalRecord {
                 shard: r.u32()?,
                 price: r.f64()?,
                 tick: r.u64()?,
-                evicted: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    other => return Err(CodecError::BadTag(other)),
-                },
+                evicted: r.bool()?,
             },
             REC_REPRICE => WalRecord::Reprice {
                 patch: take_patch(&mut r)?,
@@ -284,6 +283,20 @@ impl Snapshot {
     }
 }
 
+/// Bytes a snapshot spends besides its pricing's weights and its shards'
+/// ledgers: four `u64` header fields, the pricing tag and weight count, and
+/// the shard count.
+const SNAPSHOT_FIXED_BYTES: usize = 4 * 8 + 1 + 8 + 8;
+
+/// The most items a `SetUniformWeight` patch may name: as many 8-byte
+/// weights as fit one snapshot frame beside the snapshot's fixed fields and
+/// the ledgers of the most shards replay accepts. The patch expands to a
+/// weight per item, so a bigger count could never be snapshotted, and
+/// decoding refuses it before the shard set logs it or allocates the
+/// weights.
+const MAX_UNIFORM_ITEMS: u64 =
+    ((crate::file::MAX_FRAME - SNAPSHOT_FIXED_BYTES - 32 * crate::MAX_REPLAY_SHARDS) / 8) as u64;
+
 /// Appends a pricing function: class tag + parameters, floats as bits.
 pub fn put_pricing(buf: &mut Vec<u8>, pricing: &Pricing) {
     match pricing {
@@ -360,7 +373,9 @@ pub fn put_patch(buf: &mut Vec<u8>, patch: &PricingPatch) {
     }
 }
 
-/// Reads a pricing patch written by [`put_patch`].
+/// Reads a pricing patch written by [`put_patch`]. A `SetUniformWeight`
+/// over more items than one snapshot frame could price (8,126,457) is
+/// [`CodecError::BadLength`].
 pub fn take_patch(r: &mut ByteReader<'_>) -> Result<PricingPatch, CodecError> {
     match r.u8()? {
         PATCH_KEEP => Ok(PricingPatch::Keep),
@@ -369,7 +384,7 @@ pub fn take_patch(r: &mut ByteReader<'_>) -> Result<PricingPatch, CodecError> {
         PATCH_SET_UNIFORM_WEIGHT => {
             let weight = r.f64()?;
             let num_items = r.u64()?;
-            if num_items > (1u64 << 32) {
+            if num_items > MAX_UNIFORM_ITEMS {
                 return Err(CodecError::BadLength(num_items));
             }
             Ok(PricingPatch::SetUniformWeight {
@@ -504,6 +519,48 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] = 7;
         assert_eq!(WalRecord::decode(&bytes), Err(CodecError::BadTag(7)));
+    }
+
+    #[test]
+    fn uniform_weight_patches_are_capped_at_one_snapshot_frame() {
+        // A snapshot is its fixed fields, 8 bytes per weight and 32 per
+        // shard, so the cap's Item pricing fits one frame at the most
+        // shards replay accepts.
+        for (weights, shards) in [(0, 0), (3, 1), (5, 4)] {
+            let snap = Snapshot {
+                epoch: 1,
+                wal_seq: 0,
+                next_quote_id: 0,
+                evicted_watermark: 0,
+                pricing: Pricing::Item {
+                    weights: vec![1.0; weights],
+                },
+                shards: vec![LedgerSnapshot::default(); shards],
+            };
+            assert_eq!(
+                snap.encode().len(),
+                SNAPSHOT_FIXED_BYTES + 8 * weights + 32 * shards
+            );
+        }
+        assert_eq!(MAX_UNIFORM_ITEMS, 8_126_457);
+        let largest = SNAPSHOT_FIXED_BYTES as u64
+            + 8 * MAX_UNIFORM_ITEMS
+            + 32 * crate::MAX_REPLAY_SHARDS as u64;
+        assert!(largest <= crate::file::MAX_FRAME as u64);
+        assert!(largest + 8 > crate::file::MAX_FRAME as u64);
+
+        for (num_items, ok) in [(MAX_UNIFORM_ITEMS, true), (MAX_UNIFORM_ITEMS + 1, false)] {
+            let mut buf = Vec::new();
+            put_patch(
+                &mut buf,
+                &PricingPatch::SetUniformWeight {
+                    weight: 1.0,
+                    num_items: num_items as usize,
+                },
+            );
+            let got = take_patch(&mut ByteReader::new(&buf));
+            assert_eq!(got.is_ok(), ok, "{num_items}: {got:?}");
+        }
     }
 
     #[test]

@@ -29,11 +29,10 @@
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-use qp_core::codec::{crc32, put_u32, put_u64, ByteReader, CodecError};
+use qp_core::codec::{crc32, put_str, put_u32, put_u64, ByteReader, CodecError};
 
-use crate::histogram::{HistogramSnapshot, NUM_BUCKETS};
-use crate::registry::MetricsSnapshot;
-use crate::span::{Exemplar, FlightRoot, SpanRecord};
+use crate::registry::{put_metrics, take_metrics, MetricsSnapshot};
+use crate::span::{put_exemplars, take_exemplars, Exemplar, FlightRoot, SpanRecord};
 
 /// File name of the dump inside a data directory.
 pub const FLIGHT_FILE_NAME: &str = "flight.dump";
@@ -82,138 +81,6 @@ pub struct FlightDump {
     /// torn or corrupt frame: the sections before it are intact, the
     /// tail is lost.
     pub truncated: bool,
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn take_str(r: &mut ByteReader<'_>) -> Result<String, CodecError> {
-    let len = r.u32()? as usize;
-    if len > MAX_SECTION {
-        return Err(CodecError::BadLength(len as u64));
-    }
-    let bytes = r.take(len)?;
-    // A diagnostic dump should surface mojibake, not refuse to parse.
-    Ok(String::from_utf8_lossy(bytes).into_owned())
-}
-
-fn put_span_record(
-    buf: &mut Vec<u8>,
-    name: &str,
-    depth: u32,
-    shard: u32,
-    start_ns: u64,
-    dur_ns: u64,
-) {
-    put_str(buf, name);
-    put_u32(buf, depth);
-    put_u32(buf, shard);
-    put_u64(buf, start_ns);
-    put_u64(buf, dur_ns);
-}
-
-fn take_span_record(r: &mut ByteReader<'_>) -> Result<SpanRecord, CodecError> {
-    Ok(SpanRecord {
-        name: take_str(r)?,
-        depth: r.u32()?,
-        shard: r.u32()?,
-        start_ns: r.u64()?,
-        dur_ns: r.u64()?,
-    })
-}
-
-/// Minimum encoded footprint of one span record (empty name).
-const MIN_SPAN_BYTES: usize = 4 + 4 + 4 + 8 + 8;
-
-fn put_tree(buf: &mut Vec<u8>, trace_id: u64, root: &str, total_ns: u64, events_len: usize) {
-    put_u64(buf, trace_id);
-    put_str(buf, root);
-    put_u64(buf, total_ns);
-    put_u64(buf, events_len as u64);
-}
-
-fn take_tree(r: &mut ByteReader<'_>) -> Result<Exemplar, CodecError> {
-    let trace_id = r.u64()?;
-    let root = take_str(r)?;
-    let total_ns = r.u64()?;
-    let nevents = r.checked_count(MIN_SPAN_BYTES)?;
-    let mut events = Vec::with_capacity(nevents);
-    for _ in 0..nevents {
-        events.push(take_span_record(r)?);
-    }
-    Ok(Exemplar {
-        trace_id,
-        root,
-        total_ns,
-        events,
-    })
-}
-
-fn encode_snapshot(snapshot: &MetricsSnapshot) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u64(&mut buf, snapshot.counters.len() as u64);
-    for (name, value) in &snapshot.counters {
-        put_str(&mut buf, name);
-        put_u64(&mut buf, *value);
-    }
-    put_u64(&mut buf, snapshot.gauges.len() as u64);
-    for (name, value) in &snapshot.gauges {
-        put_str(&mut buf, name);
-        put_u64(&mut buf, *value as u64);
-    }
-    put_u64(&mut buf, snapshot.histograms.len() as u64);
-    for (name, hist) in &snapshot.histograms {
-        put_str(&mut buf, name);
-        put_u64(&mut buf, hist.sum);
-        for bucket in hist.buckets.iter() {
-            put_u64(&mut buf, *bucket);
-        }
-    }
-    put_u64(&mut buf, snapshot.exemplars.len() as u64);
-    for ex in &snapshot.exemplars {
-        put_tree(
-            &mut buf,
-            ex.trace_id,
-            &ex.root,
-            ex.total_ns,
-            ex.events.len(),
-        );
-        for e in &ex.events {
-            put_span_record(&mut buf, &e.name, e.depth, e.shard, e.start_ns, e.dur_ns);
-        }
-    }
-    buf
-}
-
-fn decode_snapshot(r: &mut ByteReader<'_>) -> Result<MetricsSnapshot, CodecError> {
-    let mut snapshot = MetricsSnapshot::default();
-    let ncounters = r.checked_count(12)?;
-    for _ in 0..ncounters {
-        let name = take_str(r)?;
-        snapshot.counters.push((name, r.u64()?));
-    }
-    let ngauges = r.checked_count(12)?;
-    for _ in 0..ngauges {
-        let name = take_str(r)?;
-        snapshot.gauges.push((name, r.u64()? as i64));
-    }
-    let nhists = r.checked_count(4 + 8 + 8 * NUM_BUCKETS)?;
-    for _ in 0..nhists {
-        let name = take_str(r)?;
-        let mut hist = HistogramSnapshot::new();
-        hist.sum = r.u64()?;
-        for bucket in hist.buckets.iter_mut() {
-            *bucket = r.u64()?;
-        }
-        snapshot.histograms.push((name, hist));
-    }
-    let nexemplars = r.checked_count(8 + 4 + 8 + 8)?;
-    for _ in 0..nexemplars {
-        snapshot.exemplars.push(take_tree(r)?);
-    }
-    Ok(snapshot)
 }
 
 fn frame(out: &mut Vec<u8>, payload: &[u8]) {
@@ -271,23 +138,11 @@ impl FlightDump {
         frame(&mut out, &meta);
 
         let mut snap = vec![SECTION_SNAPSHOT];
-        snap.extend_from_slice(&encode_snapshot(&self.snapshot));
+        put_metrics(&mut snap, &self.snapshot);
         frame(&mut out, &snap);
 
         let mut spans = vec![SECTION_SPANS];
-        put_u64(&mut spans, self.roots.len() as u64);
-        for root in &self.roots {
-            put_tree(
-                &mut spans,
-                root.trace_id,
-                &root.root,
-                root.total_ns,
-                root.events.len(),
-            );
-            for e in &root.events {
-                put_span_record(&mut spans, &e.name, e.depth, e.shard, e.start_ns, e.dur_ns);
-            }
-        }
+        put_exemplars(&mut spans, &self.roots);
         frame(&mut out, &spans);
 
         let mut proto = vec![SECTION_PROTO];
@@ -333,19 +188,16 @@ impl FlightDump {
             let mut r = ByteReader::new(&payload[1..]);
             let parsed = match payload[0] {
                 SECTION_META => (|| {
-                    dump.reason = take_str(&mut r)?;
+                    dump.reason = r.str()?.to_string();
                     dump.wal_seq = r.u64()?;
                     r.finish()
                 })(),
                 SECTION_SNAPSHOT => (|| {
-                    dump.snapshot = decode_snapshot(&mut r)?;
+                    dump.snapshot = take_metrics(&mut r)?;
                     r.finish()
                 })(),
                 SECTION_SPANS => (|| {
-                    let nroots = r.checked_count(8 + 4 + 8 + 8)?;
-                    for _ in 0..nroots {
-                        dump.roots.push(take_tree(&mut r)?);
-                    }
+                    dump.roots = take_exemplars(&mut r)?;
                     r.finish()
                 })(),
                 SECTION_PROTO => (|| {

@@ -70,11 +70,12 @@ pub use histogram::{
     NUM_BUCKETS,
 };
 pub use registry::{
-    Counter, Gauge, MetricsSnapshot, Registry, TelemetrySink, FLIGHT_JOURNAL_CAPACITY,
+    put_metrics, take_metrics, Counter, Gauge, MetricsSnapshot, Registry, TelemetrySink,
+    FLIGHT_JOURNAL_CAPACITY,
 };
 pub use span::{
-    current_trace_id, reset_thread_journal, set_current_shard, set_current_trace_id,
-    with_thread_journal, Exemplar, FlightRoot, Span, SpanEvent, SpanHandle, SpanRecord,
-    JOURNAL_CAPACITY, NO_SHARD,
+    current_trace_id, put_exemplars, reset_thread_journal, set_current_shard, set_current_trace_id,
+    take_exemplars, with_thread_journal, Exemplar, FlightRoot, Span, SpanEvent, SpanHandle,
+    SpanRecord, JOURNAL_CAPACITY, NO_SHARD,
 };
 pub use window::{snapshot_delta, RollingWindows};

@@ -19,10 +19,11 @@ use std::time::Duration;
 use parking_lot::atomic::{AtomicU64, AtomicUsize, Ordering};
 use parking_lot::Mutex;
 
+use qp_core::codec::{put_str, put_u64, ByteReader, CodecError};
 use qp_core::RingBuffer;
 
-use crate::histogram::{Histogram, HistogramCore, HistogramSnapshot};
-use crate::span::{Exemplar, FlightRoot, Span};
+use crate::histogram::{Histogram, HistogramCore, HistogramSnapshot, NUM_BUCKETS};
+use crate::span::{put_exemplars, take_exemplars, Exemplar, FlightRoot, Span};
 
 /// Counter shard count. Eight padded slots cover the worker counts this
 /// stack runs (≤ 8 shard threads) without false sharing; `get` sums them.
@@ -376,6 +377,59 @@ impl MetricsSnapshot {
         );
         self.exemplars.extend(other.exemplars.iter().cloned());
     }
+}
+
+/// Appends a metrics snapshot: `u64`-counted counters and gauges (name,
+/// then the value; a gauge as its two's complement), histograms (name,
+/// sum, every bucket), then the exemplars as [`put_exemplars`] writes
+/// them. The flight dump and the `METRICS` reply both carry this encoding.
+pub fn put_metrics(buf: &mut Vec<u8>, snapshot: &MetricsSnapshot) {
+    put_u64(buf, snapshot.counters.len() as u64);
+    for (name, value) in &snapshot.counters {
+        put_str(buf, name);
+        put_u64(buf, *value);
+    }
+    put_u64(buf, snapshot.gauges.len() as u64);
+    for (name, value) in &snapshot.gauges {
+        put_str(buf, name);
+        put_u64(buf, *value as u64);
+    }
+    put_u64(buf, snapshot.histograms.len() as u64);
+    for (name, hist) in &snapshot.histograms {
+        put_str(buf, name);
+        put_u64(buf, hist.sum);
+        for bucket in hist.buckets.iter() {
+            put_u64(buf, *bucket);
+        }
+    }
+    put_exemplars(buf, &snapshot.exemplars);
+}
+
+/// Reads a metrics snapshot written by [`put_metrics`].
+pub fn take_metrics(r: &mut ByteReader<'_>) -> Result<MetricsSnapshot, CodecError> {
+    let mut snapshot = MetricsSnapshot::default();
+    let ncounters = r.checked_count(4 + 8)?;
+    for _ in 0..ncounters {
+        let name = r.str()?.to_string();
+        snapshot.counters.push((name, r.u64()?));
+    }
+    let ngauges = r.checked_count(4 + 8)?;
+    for _ in 0..ngauges {
+        let name = r.str()?.to_string();
+        snapshot.gauges.push((name, r.u64()? as i64));
+    }
+    let nhists = r.checked_count(4 + 8 + 8 * NUM_BUCKETS)?;
+    for _ in 0..nhists {
+        let name = r.str()?.to_string();
+        let mut hist = HistogramSnapshot::new();
+        hist.sum = r.u64()?;
+        for bucket in hist.buckets.iter_mut() {
+            *bucket = r.u64()?;
+        }
+        snapshot.histograms.push((name, hist));
+    }
+    snapshot.exemplars = take_exemplars(r)?;
+    Ok(snapshot)
 }
 
 /// The telemetry capability threaded through broker, shards, server, and

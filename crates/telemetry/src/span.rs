@@ -28,6 +28,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
+use qp_core::codec::{put_str, put_u32, put_u64, ByteReader, CodecError};
 use qp_core::RingBuffer;
 
 use crate::histogram::HistogramCore;
@@ -88,6 +89,63 @@ pub struct Exemplar {
     pub total_ns: u64,
     /// All spans of the tree (including the root), ordered by start time.
     pub events: Vec<SpanRecord>,
+}
+
+/// Smallest encoding of one span record: an empty name's length prefix,
+/// depth, shard, start and duration.
+const MIN_SPAN_BYTES: usize = 4 + 4 + 4 + 8 + 8;
+
+/// Smallest encoding of one exemplar: trace id, an empty root name's
+/// length prefix, total and event count.
+const MIN_EXEMPLAR_BYTES: usize = 8 + 4 + 8 + 8;
+
+/// Appends a list of span trees: a `u64` count, then per tree its trace
+/// id, root name, total, and `u64`-counted span records. The flight dump,
+/// the `METRICS` snapshot and the `TRACE` reply all carry trees this way.
+pub fn put_exemplars(buf: &mut Vec<u8>, exemplars: &[Exemplar]) {
+    put_u64(buf, exemplars.len() as u64);
+    for ex in exemplars {
+        put_u64(buf, ex.trace_id);
+        put_str(buf, &ex.root);
+        put_u64(buf, ex.total_ns);
+        put_u64(buf, ex.events.len() as u64);
+        for e in &ex.events {
+            put_str(buf, &e.name);
+            put_u32(buf, e.depth);
+            put_u32(buf, e.shard);
+            put_u64(buf, e.start_ns);
+            put_u64(buf, e.dur_ns);
+        }
+    }
+}
+
+/// Reads a list of span trees written by [`put_exemplars`].
+pub fn take_exemplars(r: &mut ByteReader<'_>) -> Result<Vec<Exemplar>, CodecError> {
+    let n = r.checked_count(MIN_EXEMPLAR_BYTES)?;
+    let mut exemplars = Vec::with_capacity(n);
+    for _ in 0..n {
+        let trace_id = r.u64()?;
+        let root = r.str()?.to_string();
+        let total_ns = r.u64()?;
+        let nevents = r.checked_count(MIN_SPAN_BYTES)?;
+        let mut events = Vec::with_capacity(nevents);
+        for _ in 0..nevents {
+            events.push(SpanRecord {
+                name: r.str()?.to_string(),
+                depth: r.u32()?,
+                shard: r.u32()?,
+                start_ns: r.u64()?,
+                dur_ns: r.u64()?,
+            });
+        }
+        exemplars.push(Exemplar {
+            trace_id,
+            root,
+            total_ns,
+            events,
+        });
+    }
+    Ok(exemplars)
 }
 
 /// One completed root span tree as retained in the registry's flight
