@@ -16,6 +16,10 @@
 //! The checksum is table-driven (256-entry table built in a `const fn` at
 //! compile time): no runtime initialisation, no dependency, and ~1 B/cycle
 //! throughput — far faster than the record encode it guards.
+//!
+//! The appenders and the reader's methods are `#[inline]`: the wire
+//! encodes and decodes every frame through them from another crate, and
+//! without it each field costs a call.
 
 use std::fmt;
 
@@ -81,21 +85,25 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Appends `v` to `buf` little-endian.
+#[inline]
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends `v` to `buf` little-endian.
+#[inline]
 pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends the raw bit pattern of `v` — the exact `f64` round-trips.
+#[inline]
 pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     put_u64(buf, v.to_bits());
 }
 
 /// Appends `s` as a `u32` byte length followed by its UTF-8 bytes.
+#[inline]
 pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
@@ -109,16 +117,19 @@ pub struct ByteReader<'a> {
 }
 
 impl<'a> ByteReader<'a> {
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         ByteReader { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Takes the next `n` raw bytes.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::Truncated);
@@ -128,15 +139,18 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, CodecError> {
         let bytes = self.take(4)?;
         Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
     }
 
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, CodecError> {
         let bytes = self.take(8)?;
         let mut arr = [0u8; 8];
@@ -145,11 +159,13 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a bit pattern written by [`put_f64`].
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// Reads a flag byte, which must be 0 or 1.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, CodecError> {
         match self.u8()? {
             0 => Ok(false),
@@ -160,6 +176,7 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a string written by [`put_str`]. A length past the end of the
     /// buffer is [`CodecError::Truncated`] before anything is allocated.
+    #[inline]
     pub fn str(&mut self) -> Result<&'a str, CodecError> {
         let len = self.u32()? as usize;
         std::str::from_utf8(self.take(len)?).map_err(|_| CodecError::BadUtf8)
@@ -169,6 +186,7 @@ impl<'a> ByteReader<'a> {
     /// left, assuming each element needs at least `min_elem_bytes`: a
     /// corrupt length can claim 2^60 elements, and the check turns that
     /// into a [`CodecError::BadLength`] instead of an OOM `Vec` reserve.
+    #[inline]
     pub fn checked_count(&mut self, min_elem_bytes: usize) -> Result<usize, CodecError> {
         let n = self.u64()?;
         let bound = (self.remaining() / min_elem_bytes.max(1)) as u64;
@@ -179,6 +197,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Asserts the record was consumed exactly.
+    #[inline]
     pub fn finish(self) -> Result<(), CodecError> {
         if self.remaining() != 0 {
             return Err(CodecError::Trailing);
